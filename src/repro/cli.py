@@ -703,8 +703,9 @@ def _cmd_serve(args, out: IO[str], stdin: IO[str], context: ExecutionContext) ->
     deadline_ms = getattr(args, "deadline_ms", None)
 
     # Live ingestion: tail a WAL on a background thread; every applied
-    # batch refreshes the indexes and re-binds the service, all under
-    # the write side of a gate the query paths read-lock.
+    # batch refreshes the indexes and the feature rows of the avails it
+    # touched, all under the write side of a gate the query paths
+    # read-lock.
     gate = None
     follower = None
     if getattr(args, "follow", None):
@@ -727,7 +728,9 @@ def _cmd_serve(args, out: IO[str], stdin: IO[str], context: ExecutionContext) ->
             ingestor,
             args.follow,
             gate=gate,
-            on_batch=lambda ing: service.rebind(ing.dataset()),
+            on_batch=lambda ing: service.rebind(
+                ing.dataset(), touched=ing.take_touched()
+            ),
             poll_interval=max(getattr(args, "follow_poll_ms", 200.0), 1.0) / 1000.0,
         )
         follower.start()

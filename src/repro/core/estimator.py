@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,9 @@ from repro.core.timeline import LogicalTimeline
 from repro.core.timeline_models import TimelineModelSet
 from repro.data.schema import NavyMaintenanceDataset
 from repro.errors import ConfigurationError, NotFittedError
-from repro.features.static import static_features_for
-from repro.features.transform import StatusFeatureExtractor
+from repro.features.static import static_features_for, static_vocab
+from repro.features.tensor import FeatureTensor
+from repro.features.transform import StatusFeatureExtractor, tensor_cache_key
 from repro.ml.metrics import metric_suite
 from repro.runtime import ExecutionContext, check_deadline, ensure_context
 
@@ -83,6 +85,9 @@ class DomdEstimator:
         self._features_pending = False
         self._bind_lock = threading.Lock()
         self._provenance: dict[str, str] | None = None
+        #: ``(boot feature key, watermark)`` once :meth:`advance` made
+        #: this a live estimator.
+        self._live_key: tuple[str, int] | None = None
 
     # ------------------------------------------------------------------
     # feature binding (eager after fit(); lazy after serve())
@@ -157,8 +162,6 @@ class DomdEstimator:
         self._tensor = StatusFeatureExtractor(
             dataset, self.timeline.t_stars, context=self.context
         ).extract()
-        from repro.features.static import static_vocab
-
         self._static_vocab = static_vocab(dataset.avails)
         X_static, self._static_names, static_ids = static_features_for(
             dataset, vocab=self._static_vocab
@@ -206,7 +209,11 @@ class DomdEstimator:
         * ``config_hash`` — fingerprint of the pipeline configuration.
         * ``feature_key`` — the feature tensor's artifact-cache key
           (dataset fingerprint + grid/timeline fingerprint), i.e. the
-          data vintage the features were extracted from.
+          data vintage the features were extracted from.  A live
+          estimator (:meth:`advance`) stamps ``<key>@<watermark>``
+          instead: the key of the snapshot the live chain booted from
+          plus the WAL watermark it reflects, so no snapshot is hashed
+          per batch and a restart replaying the same WAL reproduces it.
 
         Memoised per instance: :meth:`serve` returns a fresh estimator,
         so a dataset rebind naturally invalidates ``feature_key``.
@@ -228,11 +235,13 @@ class DomdEstimator:
         config_hash = fingerprint_of(
             json.dumps(_config_to_payload(self.config), sort_keys=True)
         )
-        feature_key = "/".join(
-            StatusFeatureExtractor(
-                self._dataset, self.timeline.t_stars, context=self.context
-            ).cache_key()
-        )
+        if self._live_key is not None:
+            boot_key, watermark = self._live_key
+            feature_key = f"{boot_key}@{watermark}"
+        else:
+            feature_key = "/".join(
+                tensor_cache_key(self._dataset, self.timeline.t_stars)
+            )
         self._provenance = {
             "model_hash": model_hash,
             "config_hash": config_hash,
@@ -262,6 +271,67 @@ class DomdEstimator:
         served._static_vocab = self._static_vocab
         served._features_pending = True
         return served
+
+    def advance(
+        self,
+        dataset: NavyMaintenanceDataset,
+        touched: Iterable[int],
+        watermark: int,
+    ) -> "DomdEstimator":
+        """Bind the fitted models to a live snapshot at WAL ``watermark``.
+
+        The live counterpart of :meth:`serve`: ``dataset`` differs from
+        this estimator's snapshot only in the ``touched`` avails.  When
+        this estimator's features are bound, the new estimator's are
+        bound eagerly: the extractor's sweep runs on the sub-snapshot of
+        the touched avails only, and their tensor and static rows are
+        spliced into copies of this estimator's.  Feature rows depend
+        only on their own avail, so the result is bitwise equal to a
+        whole-snapshot extraction, with no snapshot fingerprint and no
+        artifact-cache traffic.  Before any features were bound it stays
+        lazy, exactly like :meth:`serve`.
+        """
+        served = self.serve(dataset)
+        boot_key = (
+            self._live_key[0]
+            if self._live_key is not None
+            else self.provenance()["feature_key"]
+        )
+        served._live_key = (boot_key, int(watermark))
+        if self._tensor_data is not None:
+            served._splice_features(self, dataset.for_avails(touched))
+        return served
+
+    def _splice_features(
+        self, previous: "DomdEstimator", changed: NavyMaintenanceDataset
+    ) -> None:
+        """Bind ``previous``'s features with ``changed``'s avails re-extracted."""
+        assert self._dataset is not None and self.context is not None
+        tensor, X_static = previous._tensor_data, previous._X_static_data
+        if changed.n_avails:
+            part = StatusFeatureExtractor(
+                changed, self.timeline.t_stars, context=self.context
+            ).sweep()
+            # Fit-time vocabulary, or the one a whole-snapshot encoding
+            # would derive (old artefacts carry none).
+            vocab = self._static_vocab or static_vocab(self._dataset.avails)
+            X_part, _, _ = static_features_for(changed, vocab=vocab)
+            rows = tensor.rows_for(part.avail_ids)
+            values = tensor.values.copy()
+            values[rows] = part.values
+            tensor = FeatureTensor(
+                values=values,
+                avail_ids=tensor.avail_ids,
+                t_stars=tensor.t_stars,
+                feature_names=tensor.feature_names,
+            )
+            X_static = X_static.copy()
+            X_static[rows] = X_part
+        self._tensor_data = tensor
+        self._X_static_data = X_static
+        self._static_names = previous._static_names
+        self._avail_ids = previous._avail_ids
+        self._features_pending = False
 
     # ------------------------------------------------------------------
     def logical_time_of(self, avail_id: int, physical_day: float) -> float:

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
@@ -444,12 +445,16 @@ class DomdService:
         return response
 
     # ------------------------------------------------------------------
-    def rebind(self, dataset: Any) -> None:
-        """Point the service at a refreshed dataset (live ingestion).
+    def rebind(self, dataset: Any, touched: Iterable[int]) -> None:
+        """Point the service at the live ingestor's refreshed dataset.
 
-        Uses :meth:`DomdEstimator.serve` — the fitted model set is
-        shared, features are lazily re-extracted on the next query.
-        **Must be called under the write side of the serving gate** so
-        no in-flight request observes the swap.
+        ``touched`` are the avails the applied WAL records changed
+        (:meth:`~repro.stream.ingest.StreamIngestor.take_touched`);
+        :meth:`DomdEstimator.advance` re-extracts only their feature
+        rows, at the watermark of :attr:`ingest`.  **Must be called
+        under the write side of the serving gate** so no in-flight
+        request observes the swap.
         """
-        self._estimator = self._estimator.serve(dataset)
+        self._estimator = self._estimator.advance(
+            dataset, touched, self.ingest.watermark
+        )

@@ -220,6 +220,24 @@ class NavyMaintenanceDataset:
             act_end=row["act_end"],
         )
 
+    def for_avails(self, avail_ids) -> "NavyMaintenanceDataset":
+        """The sub-snapshot of these avails and their RCCs, rows in order.
+
+        Ships are kept whole; every other row keeps its relative order,
+        so per-avail computations over the sub-snapshot match the same
+        avails' results over the whole one.
+        """
+        ids = np.asarray(sorted(int(a) for a in avail_ids), dtype=np.int64)
+        avail_mask = np.isin(np.asarray(self.avails["avail_id"], dtype=np.int64), ids)
+        rcc_mask = np.isin(np.asarray(self.rccs["avail_id"], dtype=np.int64), ids)
+        return NavyMaintenanceDataset(
+            ships=self.ships,
+            avails=self.avails.filter(avail_mask),
+            rccs=self.rccs.filter(rcc_mask),
+            seed=self.seed,
+            scaling_factor=self.scaling_factor,
+        )
+
     def rccs_of(self, avail_id: int) -> ColumnTable:
         """All RCC rows of one avail."""
         return self.rccs.filter(self.rccs["avail_id"] == avail_id)

@@ -21,6 +21,7 @@ paper's 1490 RCC-dependent features.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 #: RCC type axis (label, member types). "ALL" marginalises over types.
@@ -203,42 +204,10 @@ class FeatureGridSpec:
 
     def build_registry(self) -> list[FeatureSpec]:
         """Enumerate this grid's features in flat (row-major) order."""
-        specs: list[FeatureSpec] = []
-        index = 0
-        for type_label, _ in self.type_axis:
-            for swlin_label, _ in self.swlin_axis:
-                for stat_name in self.stats:
-                    status, kind = STAT_LOOKUP[stat_name]
-                    specs.append(
-                        FeatureSpec(
-                            index=index,
-                            name=grid_feature_name(type_label, swlin_label, stat_name),
-                            type_label=type_label,
-                            swlin_label=swlin_label,
-                            stat_name=stat_name,
-                            status=status,
-                            kind=kind,
-                        )
-                    )
-                    index += 1
-        if self.include_specials:
-            for name in SPECIAL_FEATURES:
-                specs.append(
-                    FeatureSpec(
-                        index=index,
-                        name=name,
-                        type_label="ALL",
-                        swlin_label="ALL",
-                        stat_name=name,
-                        status="special",
-                        kind="special",
-                    )
-                )
-                index += 1
-        return specs
+        return list(_registry_of(self))
 
     def feature_names(self) -> list[str]:
-        return [spec.name for spec in self.build_registry()]
+        return list(_names_of(self))
 
     def fingerprint(self) -> str:
         """Content fingerprint of the grid (artifact-cache key part)."""
@@ -251,6 +220,49 @@ class FeatureGridSpec:
             self.stats,
             self.include_specials,
         )
+
+
+@functools.lru_cache(maxsize=16)
+def _registry_of(grid: FeatureGridSpec) -> tuple[FeatureSpec, ...]:
+    """A grid's features, enumerated once per distinct (frozen) spec."""
+    specs: list[FeatureSpec] = []
+    index = 0
+    for type_label, _ in grid.type_axis:
+        for swlin_label, _ in grid.swlin_axis:
+            for stat_name in grid.stats:
+                status, kind = STAT_LOOKUP[stat_name]
+                specs.append(
+                    FeatureSpec(
+                        index=index,
+                        name=grid_feature_name(type_label, swlin_label, stat_name),
+                        type_label=type_label,
+                        swlin_label=swlin_label,
+                        stat_name=stat_name,
+                        status=status,
+                        kind=kind,
+                    )
+                )
+                index += 1
+    if grid.include_specials:
+        for name in SPECIAL_FEATURES:
+            specs.append(
+                FeatureSpec(
+                    index=index,
+                    name=name,
+                    type_label="ALL",
+                    swlin_label="ALL",
+                    stat_name=name,
+                    status="special",
+                    kind="special",
+                )
+            )
+            index += 1
+    return tuple(specs)
+
+
+@functools.lru_cache(maxsize=16)
+def _names_of(grid: FeatureGridSpec) -> tuple[str, ...]:
+    return tuple(spec.name for spec in _registry_of(grid))
 
 
 def build_registry(spec: FeatureGridSpec | None = None) -> list[FeatureSpec]:

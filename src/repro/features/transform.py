@@ -44,6 +44,22 @@ def default_timeline(window_pct: float) -> np.ndarray:
     return np.round(np.linspace(0.0, 100.0, n_steps + 1), 6)
 
 
+def tensor_cache_key(
+    dataset: NavyMaintenanceDataset,
+    t_stars: np.ndarray,
+    grid: FeatureGridSpec | None = None,
+) -> tuple[str, str, str]:
+    """Content key of a dataset's feature tensor: dataset x grid x timeline."""
+    from repro.runtime.cache import fingerprint_of
+
+    grid = grid or FeatureGridSpec.default()
+    return (
+        "feature_tensor",
+        dataset.fingerprint(),
+        fingerprint_of(grid.fingerprint(), np.asarray(t_stars, dtype=np.float64)),
+    )
+
+
 def _membership_matrices(grid: FeatureGridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(type marginalisation, scope marginalisation) matrices."""
     type_m = np.zeros((len(grid.type_axis), _N_TYPES))
@@ -110,13 +126,7 @@ class StatusFeatureExtractor:
 
     def cache_key(self) -> tuple[str, str, str]:
         """Content key of the tensor this extractor would produce."""
-        from repro.runtime.cache import fingerprint_of
-
-        return (
-            "feature_tensor",
-            self.dataset.fingerprint(),
-            fingerprint_of(self.grid.fingerprint(), self.t_stars),
-        )
+        return tensor_cache_key(self.dataset, self.t_stars, self.grid)
 
     # ------------------------------------------------------------------
     def _digit_codes(self, swlin_codes) -> np.ndarray:
@@ -142,9 +152,17 @@ class StatusFeatureExtractor:
         over an unchanged snapshot are free.
         """
         with self.context.span("extract"):
-            return self.context.cache.get_or_build(self.cache_key(), self._extract)
+            return self.context.cache.get_or_build(self.cache_key(), self.sweep)
 
-    def _extract(self) -> FeatureTensor:
+    def sweep(self) -> FeatureTensor:
+        """The uncached extraction :meth:`extract` memoises.
+
+        Every tensor row depends only on its own avail's RCCs, so a
+        sweep over a sub-dataset yields rows bitwise equal to the same
+        avails' rows of a whole-dataset sweep — the live delta refresh
+        (:meth:`~repro.core.estimator.DomdEstimator.advance`) relies on
+        this.
+        """
         avails = self.dataset.avails
         n_avails = avails.n_rows
         avail_ids = np.asarray(avails["avail_id"], dtype=np.int64)

@@ -16,15 +16,18 @@ or telemetry state, and everything a shard needs travels in a picklable
 ``spec`` dict — it loads model and dataset from disk itself.
 
 **Durability contract.**  An ``ingest`` request is acknowledged only
-after its events are fsynced to this shard's WAL *and* applied under
-the write gate.  A killed shard replays its WAL on restart, so every
+after its events are validated against the store, fsynced to this
+shard's WAL *and* applied under the write gate, followed by the delta
+feature refresh of the avails they touched.  A batch the store would
+reject never reaches the WAL, so it cannot wedge later appends or a
+restart's replay.  A killed shard replays its WAL on restart, so every
 acknowledged write survives a kill -9 — the zero-loss property the
 bench harness and CI smoke verify.
 
 Shard-level request types (beyond the :class:`DomdService` surface):
 
-* ``{"type": "ingest", "events": [...]}`` — WAL append (fsync = ack)
-  then apply + rebind under the write gate.
+* ``{"type": "ingest", "events": [...]}`` — validate, WAL append
+  (fsync = ack), then apply + delta refresh under the write gate.
 * ``{"type": "shard_status"}`` — shard id, watermark, pool and ingest
   gauges (the router's scatter source for ``repro_shard_*`` series).
 * ``{"type": "shutdown"}`` — graceful drain: stop accepting, finish
@@ -326,6 +329,12 @@ class ShardServer:
             }
         traceparent = request.get("traceparent")
         with self._ingest_lock:
+            # A batch the store would reject must never reach the WAL:
+            # every later append and replay would fail on it.
+            try:
+                self.ingestor.store.validate(events)
+            except ReproError as exc:
+                return error_envelope("domain_error", str(exc))
             # Durability first: the fsynced append IS the acknowledgement.
             result = self.wal.append_batch(events)
             records = [
@@ -342,8 +351,16 @@ class ShardServer:
             ]
             try:
                 with self.gate.write():
-                    summary = self.ingestor.apply_batch(records)
-                    self.service.rebind(self.ingestor.dataset())
+                    try:
+                        summary = self.ingestor.apply_batch(records)
+                    finally:
+                        # Even a half-applied batch refreshes what its
+                        # prefix touched: answers stamped with watermark
+                        # w reflect every record <= w.
+                        self.service.rebind(
+                            self.ingestor.dataset(),
+                            touched=self.ingestor.take_touched(),
+                        )
             except ReproError as exc:
                 return error_envelope("domain_error", str(exc))
         return {
@@ -471,7 +488,7 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
         wal = WalWriter(spec["wal_path"], telemetry=context.telemetry)
         replayed = ingestor.replay(spec["wal_path"])
         if replayed["applied"]:
-            service.rebind(ingestor.dataset())
+            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
         assert ingestor.watermark == wal.last_seq, (
             f"shard {spec['shard_id']} recovery gap: watermark "
             f"{ingestor.watermark} != WAL end {wal.last_seq}"

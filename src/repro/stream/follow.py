@@ -33,8 +33,9 @@ class WalFollower(threading.Thread):
         ``gate.write()``.
     on_batch:
         Optional callback invoked *inside* the write section after each
-        applied batch (the serve path uses it to rebind the service to
-        the refreshed dataset).
+        batch that moved the watermark — even one that failed part way —
+        (the serve path uses it to refresh the service's features for
+        the avails the batch touched).
     poll_interval:
         Seconds between WAL polls when no fresh records are found.
     """
@@ -87,9 +88,15 @@ class WalFollower(threading.Thread):
         for lo in range(0, len(result.records), self.batch_size):
             chunk = result.records[lo : lo + self.batch_size]
             with self._write_scope():
-                summary = self.ingestor.apply_batch(chunk)
-                if summary["applied"] and self.on_batch is not None:
-                    self.on_batch(self.ingestor)
+                watermark = self.ingestor.watermark
+                try:
+                    summary = self.ingestor.apply_batch(chunk)
+                finally:
+                    if (
+                        self.ingestor.watermark != watermark
+                        and self.on_batch is not None
+                    ):
+                        self.on_batch(self.ingestor)
             if summary["applied"]:
                 applied += summary["applied"]
                 self.batches_applied += 1

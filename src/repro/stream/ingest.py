@@ -13,6 +13,12 @@ range — the normal recovery path — is harmless), and a batch that jumps
 the sequence raises rather than silently leaving a gap.  Queries answer
 "as of watermark w": the adapters carry ``w`` so EXPLAIN plans and
 service responses can stamp it.
+
+**Touched avails.**  Every applied event that changed an avail's state
+adds that avail to a pending set, which :meth:`StreamIngestor.take_touched`
+hands to the serving layer's delta feature refresh and clears.  The set
+accumulates across batches until taken, so a batch that fails half way
+still reports the avails its applied prefix changed.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ class StreamIngestor:
         self.applied_events = 0
         self.skipped_duplicates = 0
         self._wal_end_seq = self.watermark
+        self._touched: set[int] = set()
         self._watermark_wall_time: float | None = None
         #: Append time of the oldest WAL record known but not yet applied
         #: — the anchor of ``freshness_lag_seconds``.  A stalled follower
@@ -150,6 +157,8 @@ class StreamIngestor:
                             f"record has seq {record.seq}"
                         )
                     result = self.store.apply(record.event)
+                    if result.avail_id is not None:
+                        self._touched.add(result.avail_id)
                     pending_inserts.extend(result.inserts)
                     if result.updates:
                         self._flush_inserts(pending_inserts)
@@ -214,6 +223,11 @@ class StreamIngestor:
         for adapter in self.adapters.values():
             adapter.insert_batch(starts, ends, slots)
         pending.clear()
+
+    def take_touched(self) -> frozenset[int]:
+        """Avails changed since the last call (then forgets them)."""
+        touched, self._touched = frozenset(self._touched), set()
+        return touched
 
     def replay(self, wal_path: str, batch_size: int = 256) -> dict[str, Any]:
         """Replay a WAL tail (everything past the watermark) in batches."""

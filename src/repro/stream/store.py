@@ -18,13 +18,16 @@ each RCC's logical-time conversion.
 
 The returned :class:`ApplyResult` is the contract with
 :class:`~repro.stream.ingest.StreamIngestor`: it lists exactly which
-index mutations (inserts / interval updates) the event implies.
+index mutations (inserts / interval updates) the event implies, and
+which avail's feature rows it changed.  :meth:`StreamingRccStore.validate`
+raises the error a batch's application would raise without applying
+anything, so a server can refuse a batch before it reaches the WAL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -58,6 +61,9 @@ class ApplyResult:
     inserts: list[tuple[int, float, float]] = field(default_factory=list)
     #: Re-keyed rows: ``(slot, old_t_start, old_t_end, t_start, t_end)``.
     updates: list[tuple[int, float, float, float, float]] = field(default_factory=list)
+    #: The avail whose state (RCC rows or plan) the event changed;
+    #: ``None`` for duplicates and deferred events.
+    avail_id: int | None = None
 
 
 class StreamingRccStore:
@@ -204,7 +210,9 @@ class StreamingRccStore:
         self._slot_of[int(event.rcc_id)] = slot
         self._slots_by_avail.setdefault(int(event.avail_id), []).append(slot)
         result = ApplyResult(
-            kind=event.kind, inserts=[(slot, t_start, UNSETTLED_T)]
+            kind=event.kind,
+            inserts=[(slot, t_start, UNSETTLED_T)],
+            avail_id=int(event.avail_id),
         )
         # Drain anything that arrived before this create.
         for orphan in self._orphans.pop(int(event.rcc_id), []):
@@ -220,11 +228,7 @@ class StreamingRccStore:
         if slot is None:
             self._orphans.setdefault(int(event.rcc_id), []).append(event)
             return ApplyResult(kind=event.kind, deferred=True)
-        if event.settle_date < self._create_date[slot]:
-            raise StreamStateError(
-                f"RCC {event.rcc_id} settles on day {event.settle_date}, before "
-                f"its creation day {self._create_date[slot]}"
-            )
+        _check_settle(event, self._create_date[slot])
         already = (
             self._status[slot] == "settled"
             and self._settle_date[slot] == event.settle_date
@@ -242,6 +246,7 @@ class StreamingRccStore:
         return ApplyResult(
             kind=event.kind,
             updates=[(slot, self._t_start[slot], old_t_end, self._t_start[slot], t_end)],
+            avail_id=self._avail_id[slot],
         )
 
     def _apply_amount(self, event: AmountRevised) -> ApplyResult:
@@ -252,10 +257,13 @@ class StreamingRccStore:
         if self._amount[slot] == float(event.amount):
             return ApplyResult(kind=event.kind, duplicate=True)
         self._amount[slot] = float(event.amount)
-        # Amounts feed the engine table, not the logical-time index.
-        return ApplyResult(kind=event.kind)
+        # Amounts feed the engine table and the features, not the
+        # logical-time index.
+        return ApplyResult(kind=event.kind, avail_id=self._avail_id[slot])
 
-    def _apply_extended(self, event: AvailExtended) -> ApplyResult:
+    def _check_extension(self, event: AvailExtended) -> int:
+        """The avail's table row; raises for an unknown avail or a plan
+        that would end on or before it starts."""
         row = self._avail_row.get(int(event.avail_id))
         if row is None:
             raise StreamStateError(
@@ -267,6 +275,11 @@ class StreamingRccStore:
                 f"avail {event.avail_id} cannot end its plan on day "
                 f"{event.new_plan_end}, on or before plan start {plan_start}"
             )
+        return row
+
+    def _apply_extended(self, event: AvailExtended) -> ApplyResult:
+        row = self._check_extension(event)
+        plan_start = int(self._avails["plan_start"][row])
         if int(self._avails["plan_end"][row]) == event.new_plan_end:
             return ApplyResult(kind=event.kind, duplicate=True)
         self._avails["plan_end"][row] = int(event.new_plan_end)
@@ -278,7 +291,7 @@ class StreamingRccStore:
             self._avails["delay"][row] = float(
                 (act_end - act_start) - (int(event.new_plan_end) - plan_start)
             )
-        result = ApplyResult(kind=event.kind)
+        result = ApplyResult(kind=event.kind, avail_id=int(event.avail_id))
         for slot in self._slots_by_avail.get(int(event.avail_id), []):
             old_t_start, old_t_end = self._t_start[slot], self._t_end[slot]
             t_start = self._logical(self._create_date[slot], event.avail_id)
@@ -291,6 +304,42 @@ class StreamingRccStore:
             if t_start != old_t_start or t_end != old_t_end:
                 result.updates.append((slot, old_t_start, old_t_end, t_start, t_end))
         return result
+
+    def validate(self, events: Sequence[Event]) -> None:
+        """Raise what applying ``events`` in order would raise; mutate nothing.
+
+        Tracks what earlier events of the batch would change — creates,
+        and settles buffered until their create — so a settle dated
+        before a create in the same batch is caught too.
+        """
+        created: dict[int, int] = {}  # rcc id -> creation day, this batch
+        buffered: dict[int, list[RccSettled]] = {}  # settles awaiting a create
+        for event in events:
+            if isinstance(event, RccCreated):
+                rcc_id = int(event.rcc_id)
+                if rcc_id in self._slot_of or rcc_id in created:
+                    continue  # duplicate: skipped on apply
+                self._avail_frame(event.avail_id)
+                created[rcc_id] = int(event.create_date)
+                waiting = [
+                    orphan
+                    for orphan in self._orphans.get(rcc_id, [])
+                    if isinstance(orphan, RccSettled)
+                ] + buffered.pop(rcc_id, [])
+                for settle in waiting:
+                    _check_settle(settle, created[rcc_id])
+            elif isinstance(event, RccSettled):
+                rcc_id = int(event.rcc_id)
+                slot = self._slot_of.get(rcc_id)
+                create_day = (
+                    self._create_date[slot] if slot is not None else created.get(rcc_id)
+                )
+                if create_day is None:
+                    buffered.setdefault(rcc_id, []).append(event)
+                else:
+                    _check_settle(event, create_day)
+            elif isinstance(event, AvailExtended):
+                self._check_extension(event)
 
     # ------------------------------------------------------------------
     # views
@@ -376,3 +425,11 @@ class StreamingRccStore:
             self._orphans[int(rcc_id)] = [
                 event_from_dict(event) for event in events
             ]
+
+
+def _check_settle(event: RccSettled, create_day: int) -> None:
+    if event.settle_date < create_day:
+        raise StreamStateError(
+            f"RCC {event.rcc_id} settles on day {event.settle_date}, before "
+            f"its creation day {create_day}"
+        )

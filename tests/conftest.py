@@ -51,6 +51,22 @@ def small_splits(small_dataset):
 
 
 @pytest.fixture(scope="session")
+def feature_estimator(small_dataset, small_splits):
+    """A small fitted estimator for feature-path oracles.
+
+    Only its feature binding is asserted on, never its models, so the
+    ensembles are kept tiny.
+    """
+    from repro.core import DomdEstimator, PipelineConfig
+    from repro.ml import GbmParams
+
+    config = PipelineConfig(
+        window_pct=25.0, k=8, fusion="average", gbm=GbmParams(n_estimators=5)
+    )
+    return DomdEstimator(config).fit(small_dataset, small_splits.train_ids)
+
+
+@pytest.fixture(scope="session")
 def full_dataset() -> NavyMaintenanceDataset:
     """The paper-scale dataset (73 ships / 187 closed avails / 52,959 RCCs)."""
     return generate_dataset()

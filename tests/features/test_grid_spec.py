@@ -99,3 +99,53 @@ class TestExtractionWithSpecs:
             toy_dataset, np.array([50.0]), grid=spec
         ).extract()
         assert "T_STAR" not in tensor.feature_names
+
+
+class TestRegistryMemo:
+    """Registry enumeration runs once per distinct (frozen) grid spec."""
+
+    SPECS = (
+        FeatureGridSpec.default(),
+        FeatureGridSpec.compact(),
+        FeatureGridSpec.deep(),
+        FeatureGridSpec(stats=("SUM_CREATED_AMT", "CNT_CREATED")),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: str(s.n_features))
+    def test_memoised_results_equal_a_fresh_build(self, spec):
+        from repro.features.registry import _registry_of
+
+        fresh = list(_registry_of.__wrapped__(spec))
+        assert spec.build_registry() == fresh
+        assert spec.feature_names() == [feature.name for feature in fresh]
+        # an equal spec built separately shares the memoised result
+        twin = FeatureGridSpec(
+            type_axis=spec.type_axis,
+            swlin_axis=spec.swlin_axis,
+            swlin_depth=spec.swlin_depth,
+            stats=spec.stats,
+            include_specials=spec.include_specials,
+        )
+        assert twin.build_registry() == fresh
+
+    def test_callers_get_private_copies(self):
+        spec = FeatureGridSpec.compact()
+        names = spec.feature_names()
+        names.clear()
+        registry = spec.build_registry()
+        registry.pop()
+        assert len(spec.feature_names()) == spec.n_features
+        assert len(spec.build_registry()) == spec.n_features
+
+    def test_repeated_constructions_do_not_rebuild(
+        self, toy_dataset, feature_estimator
+    ):
+        from repro.features.registry import _names_of, _registry_of
+
+        _registry_of.cache_clear()
+        _names_of.cache_clear()
+        for _ in range(3):
+            StatusFeatureExtractor(toy_dataset)
+            feature_estimator.serve(toy_dataset).provenance()
+        assert _registry_of.cache_info().misses == 1
+        assert _names_of.cache_info().misses == 1

@@ -7,9 +7,11 @@ generator does:
     triples, seed determinism;
 (b) bitwise four-design index agreement and scalar<->columnar executor
     parity (ddmin-shrunk reproducer on failure);
-(c) live == batch streaming replay at watermarks, including the
-    out-of-order ``late_arrival`` delivery, and dataset<->stream
-    round-trips through a real file.
+(c) live == batch streaming replay at watermarks — index answers and,
+    after every applied batch, the live estimator's delta-refreshed
+    feature tensor and static matrix — including the out-of-order
+    ``late_arrival`` delivery, and dataset<->stream round-trips through
+    a real file.
 
 The learnability gate lives in ``test_regime_quality.py``.
 """
@@ -33,7 +35,11 @@ from repro.stream import (
 from tests.index.test_columnar_differential import executor_disagreement
 from tests.index.test_differential_fuzz import disagreement, shrink
 from tests.regimes.conftest import fail_with_reproducer, regime_params
-from tests.stream.test_ingest_differential import OPS, PROBES
+from tests.stream.test_ingest_differential import (
+    OPS,
+    PROBES,
+    tensor_disagreement,
+)
 
 DESIGNS = ("naive", "avl", "interval", "sorted_array")
 
@@ -197,6 +203,32 @@ class TestStreamingReplay:
         fail_with_reproducer(
             regime,
             "replay",
+            label,
+            [event_to_dict(event) for event in minimal],
+            len(events),
+        )
+
+    def test_live_features_match_fresh_extraction(
+        self, regime, regime_cache, feature_estimator
+    ):
+        _, _, header, events = regime_cache(regime)
+        batch_size = max(1, len(events) // 40)
+
+        def predicate(candidate):
+            return tensor_disagreement(
+                feature_estimator,
+                StreamingRccStore.from_header(header),
+                candidate,
+                batch_size=batch_size,
+            )
+
+        label = predicate(events)
+        if label is None:
+            return
+        minimal = shrink(events, predicate=predicate)
+        fail_with_reproducer(
+            regime,
+            "features",
             label,
             [event_to_dict(event) for event in minimal],
             len(events),

@@ -253,6 +253,75 @@ class TestIngestDurability:
         # The WAL never saw the misrouted event — nothing to poison replay.
         assert wal_shard.wal.last_seq == seq_before
 
+    def test_rejected_batch_never_enters_the_wal(self, serve_env, tmp_path):
+        """A batch the store would reject is refused before the append:
+        later batches still ack, and a restart replays cleanly to the
+        same live answer and feature key."""
+        spec = {
+            "shard_id": 0,
+            "shard_ids": [0, 1],
+            "model": serve_env.model_path,
+            "data": serve_env.data_dir,
+            "wal_path": str(tmp_path / "shard-0.wal"),
+            "workers": 1,
+            "queue_depth": 8,
+        }
+        avail_id = _owned_avails(serve_env.dataset, 0)[0]
+
+        def created(rcc_id: int, day: int) -> dict:
+            return {"kind": "rcc_created", "rcc_id": rcc_id,
+                    "avail_id": avail_id, "rcc_type": "G",
+                    "swlin": "123-45-678", "create_date": day, "amount": 40.0}
+
+        probe = {"type": "domd_query", "avail_ids": [avail_id], "t_star": 50.0}
+        runtime = build_shard_runtime(spec)
+        runtime.server.start()
+        try:
+            with _client(runtime.server) as client:
+                ok = client.request({"type": "ingest", "events": [created(91_000_001, 1000)]})
+                assert ok["ok"], ok
+                bad = client.request(
+                    {
+                        "type": "ingest",
+                        "events": [
+                            created(91_000_002, 1010),
+                            # settles 5 days before its own creation
+                            {"kind": "rcc_settled", "rcc_id": 91_000_002,
+                             "settle_date": 1005},
+                        ],
+                    }
+                )
+                assert bad["error"]["code"] == "domain_error", bad
+                assert "before its creation day" in bad["error"]["message"]
+                assert runtime.wal.last_seq == 1
+                assert runtime.ingestor.watermark == 1
+                after = client.request(
+                    {"type": "ingest", "events": [created(91_000_003, 1020)]}
+                )
+                assert after["ok"], after
+                assert after["result"]["first_seq"] == 2
+                assert after["watermark"] == 2
+                live = client.request(probe)
+        finally:
+            runtime.server.stop(drain=False)
+            runtime.pool.close(drain=False)
+            runtime.wal.close()
+        assert live["ok"], live
+        assert live["provenance"]["feature_key"].endswith("@2")
+
+        restarted = build_shard_runtime(spec)
+        restarted.server.start()
+        try:
+            assert restarted.ingestor.watermark == restarted.wal.last_seq == 2
+            with _client(restarted.server) as client:
+                again = client.request(probe)
+        finally:
+            restarted.server.stop(drain=False)
+            restarted.pool.close(drain=False)
+            restarted.wal.close()
+        assert again["result"] == live["result"]
+        assert again["provenance"]["feature_key"] == live["provenance"]["feature_key"]
+
     def test_empty_batch_acks_without_wal_traffic(self, wal_shard):
         seq_before = wal_shard.wal.last_seq
         with _client(wal_shard.server) as client:

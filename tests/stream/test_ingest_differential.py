@@ -8,6 +8,11 @@ byte-identically to an index built from scratch over the store's
 current table.  On failure the stream is ddmin-shrunk (reusing the
 fuzzer harness of ``tests/index/test_differential_fuzz.py``) so the bug
 arrives as a minimal event-list reproducer.
+
+The same streams also drive the serving layer's delta feature refresh:
+after every applied batch the live estimator's feature tensor and static
+matrix must be bitwise equal to a fresh extraction over the ingestor's
+snapshot (:func:`tensor_disagreement`, shrunk the same way).
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import DomdService
+from repro.features.static import static_features_for
+from repro.features.transform import StatusFeatureExtractor
 from repro.index.status_query import StatusQueryEngine
 from repro.stream import StreamIngestor, StreamingRccStore, UNSETTLED_T
 from repro.stream.mutable import _DESIGNS
@@ -31,23 +39,34 @@ RCC_TYPES = ("G", "N", "NG")
 SWLINS = ("111-11-001", "123-45-002", "222-22-003")
 
 #: One avail frame: plan day 1000..1100, so logical t = day - 1000.
+#: Avail 3 never gets an RCC from the random streams.
 AVAILS = ColumnTable(
     {
-        "avail_id": np.array([1, 2], dtype=np.int64),
-        "ship_id": np.array([1, 1], dtype=np.int64),
-        "plan_start": np.array([1000, 1000], dtype=np.int64),
-        "plan_end": np.array([1100, 1100], dtype=np.int64),
-        "act_start": np.array([1000, 1000], dtype=np.int64),
-        "act_end": np.array([1100, -1], dtype=np.int64),
-        "planned_duration": np.array([100, 100], dtype=np.int64),
-        "status": np.array(["closed", "ongoing"], dtype=object),
-        "delay": np.array([0.0, np.nan]),
+        "avail_id": np.array([1, 2, 3], dtype=np.int64),
+        "ship_id": np.array([1, 1, 1], dtype=np.int64),
+        "plan_start": np.array([1000, 1000, 1000], dtype=np.int64),
+        "plan_end": np.array([1100, 1100, 1100], dtype=np.int64),
+        "act_start": np.array([1000, 1000, 1000], dtype=np.int64),
+        "act_end": np.array([1100, -1, -1], dtype=np.int64),
+        "planned_duration": np.array([100, 100, 100], dtype=np.int64),
+        "status": np.array(["closed", "ongoing", "ongoing"], dtype=object),
+        "delay": np.array([0.0, np.nan, np.nan]),
+        "ship_class": np.array(["DDG", "DDG", "DDG"], dtype=object),
+        "rmc_id": np.array([2, 2, 2], dtype=np.int64),
+        "ship_age": np.array([10, 11, 12], dtype=np.int64),
+        "n_prior_avails": np.array([0, 1, 2], dtype=np.int64),
+        "avail_type": np.array(["docking", "pierside", "docking"], dtype=object),
+        "start_quarter": np.array([1, 1, 1], dtype=np.int64),
+        "displacement": np.array([9200.0, 9200.0, 9200.0]),
     }
 )
 SHIPS = ColumnTable(
     {
         "ship_id": np.array([1], dtype=np.int64),
         "ship_class": np.array(["DDG"], dtype=object),
+        "commission_year": np.array([2000], dtype=np.int64),
+        "rmc_id": np.array([2], dtype=np.int64),
+        "displacement": np.array([9200.0]),
     }
 )
 
@@ -140,6 +159,75 @@ def replay_disagreement(events: list[dict], check_every: int = 7) -> str | None:
                             f"at watermark {ingestor.watermark}"
                         )
     return None
+
+
+def toy_store() -> StreamingRccStore:
+    return StreamingRccStore(ships=SHIPS, avails=AVAILS.select(AVAILS.column_names))
+
+
+def features_disagreement(estimator, dataset) -> str | None:
+    """None when a live estimator's bound features are bitwise those of
+    a fresh extraction over ``dataset``, else a label."""
+    if estimator._features_pending or estimator._tensor_data is None:
+        return "live rebind left the features to a lazy full extraction"
+    live = estimator._tensor_data
+    fresh = StatusFeatureExtractor(dataset, estimator.timeline.t_stars).sweep()
+    X_fresh, _, _ = static_features_for(dataset, vocab=estimator._static_vocab)
+    if not np.array_equal(live.avail_ids, fresh.avail_ids):
+        return "tensor avail order diverges"
+    for label, got, want in (
+        ("tensor", live.values, fresh.values),
+        ("static", estimator._X_static_data, X_fresh),
+    ):
+        differs = got.view(np.int64) != want.view(np.int64)
+        rows = np.flatnonzero(differs.reshape(len(got), -1).any(axis=1))
+        if rows.size:
+            return f"{label} rows of avails {live.avail_ids[rows].tolist()} diverge"
+    return None
+
+
+def live_service(estimator, store: StreamingRccStore):
+    """A service over ``store``'s snapshot with its features bound, so
+    every later live rebind takes the delta path."""
+    ingestor = StreamIngestor(store)
+    service = DomdService(estimator.serve(store.dataset()))
+    service.ingest = ingestor
+    service._estimator._materialize_features()
+    return service, ingestor
+
+
+def tensor_disagreement(
+    estimator, store: StreamingRccStore, events: list, batch_size: int = 7
+) -> str | None:
+    """Stream ``events`` into a live service in batches; None when after
+    every batch the served features equal a fresh extraction."""
+    service, ingestor = live_service(estimator, store)
+    for lo in range(0, len(events), batch_size):
+        try:
+            ingestor.apply_events(events[lo : lo + batch_size])
+        except Exception as exc:  # noqa: BLE001 — a crash is a failure too
+            return f"apply crashed at event {lo}+: {type(exc).__name__}: {exc}"
+        dataset = ingestor.dataset()
+        service.rebind(dataset, touched=ingestor.take_touched())
+        label = features_disagreement(service._estimator, dataset)
+        if label is not None:
+            return f"{label} at watermark {ingestor.watermark}"
+    return None
+
+
+def assert_tensor_agreement(estimator, make_store, events: list) -> None:
+    def predicate(candidate):
+        return tensor_disagreement(estimator, make_store(), candidate)
+
+    label = predicate(events)
+    if label is None:
+        return
+    minimal = shrink(events, predicate=predicate)
+    pytest.fail(
+        f"live features diverge from a fresh extraction: {label}\n"
+        f"minimal reproducer ({len(minimal)} of {len(events)} events):\n"
+        f"{json.dumps(minimal, indent=2, default=str)}"
+    )
 
 
 def assert_replay_agreement(events: list[dict]) -> None:
@@ -302,3 +390,183 @@ class TestLateArrivalRoundTrip:
         ingestor.apply_events(event_dicts)
         assert store.counts["deferred"] > 0
         assert not store.orphans
+
+
+def _create(rcc_id, avail_id, day, amount=10.0, rcc_type="G", swlin=SWLINS[0]):
+    return {"kind": "rcc_created", "rcc_id": rcc_id, "avail_id": avail_id,
+            "rcc_type": rcc_type, "swlin": swlin, "create_date": day,
+            "amount": amount}
+
+
+class TestLiveFeatureDifferential:
+    """Delta feature refresh == fresh extraction after every batch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 13, 2025])
+    def test_random_streams(self, feature_estimator, seed):
+        assert_tensor_agreement(
+            feature_estimator, toy_store, random_event_dicts(seed)
+        )
+
+    def test_amount_revisions(self, feature_estimator):
+        events = [
+            _create(0, 1, 1010, amount=5.0),
+            _create(1, 2, 1030, amount=7.0, rcc_type="NG", swlin=SWLINS[2]),
+            {"kind": "rcc_settled", "rcc_id": 0, "settle_date": 1040},
+            # no index mutation, but amounts feed every amount feature
+            {"kind": "amount_revised", "rcc_id": 0, "amount": 55.5},
+            {"kind": "amount_revised", "rcc_id": 1, "amount": 0.25},
+            # revision before its create: buffered, drained on create
+            {"kind": "amount_revised", "rcc_id": 2, "amount": 99.0},
+            _create(2, 1, 1050, amount=1.0),
+        ]
+        for batch_size in (1, 3, len(events)):
+            label = tensor_disagreement(
+                feature_estimator, toy_store(), events, batch_size=batch_size
+            )
+            assert label is None, label
+
+    def test_avail_extensions_with_and_without_rccs(self, feature_estimator):
+        events = [
+            _create(0, 1, 1050, amount=5.0),
+            {"kind": "rcc_settled", "rcc_id": 0, "settle_date": 1080},
+            _create(1, 1, 1060, amount=8.0, rcc_type="N", swlin=SWLINS[1]),
+            # rescales avail 1's RCCs and its planned_duration
+            {"kind": "avail_extended", "avail_id": 1, "new_plan_end": 1160},
+            # avail 3 has no RCCs: only its static row changes
+            {"kind": "avail_extended", "avail_id": 3, "new_plan_end": 1250},
+            # shrinking the plan moves RCCs past t*=100
+            {"kind": "avail_extended", "avail_id": 1, "new_plan_end": 1040},
+        ]
+        for batch_size in (1, 2, len(events)):
+            label = tensor_disagreement(
+                feature_estimator, toy_store(), events, batch_size=batch_size
+            )
+            assert label is None, label
+
+    def test_duplicates(self, feature_estimator):
+        create = _create(0, 1, 1010, amount=5.0)
+        settle = {"kind": "rcc_settled", "rcc_id": 0, "settle_date": 1030}
+        extend = {"kind": "avail_extended", "avail_id": 2, "new_plan_end": 1150}
+        events = [create, create, settle, extend, settle, create, extend]
+        label = tensor_disagreement(
+            feature_estimator, toy_store(), events, batch_size=1
+        )
+        assert label is None, label
+        # an all-duplicate batch touches nothing and re-extracts nothing
+        service, ingestor = live_service(feature_estimator, toy_store())
+        ingestor.apply_events(events[:4])
+        service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+        bound = service._estimator._tensor_data
+        ingestor.apply_events([create, settle, extend])
+        touched = ingestor.take_touched()
+        assert touched == frozenset()
+        service.rebind(ingestor.dataset(), touched=touched)
+        assert service._estimator._tensor_data is bound
+
+    def test_artefact_without_static_vocabulary(self, feature_estimator):
+        """Artefacts saved before the fit-time vocabulary was persisted
+        encode statics against the whole snapshot's labels."""
+        import copy
+
+        legacy = copy.copy(feature_estimator)
+        legacy._static_vocab = None
+        assert_tensor_agreement(legacy, toy_store, random_event_dicts(13))
+
+    def test_late_arrival_orphans(self, feature_estimator):
+        from repro.data import SyntheticNmdConfig, generate_dataset
+        from repro.stream import dataset_to_events, event_to_dict
+        from repro.stream.events import perturb_event_order
+
+        dataset = generate_dataset(
+            SyntheticNmdConfig(
+                n_ships=4, n_closed_avails=12, n_ongoing_avails=1,
+                target_n_rccs=400, seed=17,
+            )
+        )
+        header, events = dataset_to_events(dataset)
+        shuffled = perturb_event_order(
+            events, seed=7, late_fraction=0.25, max_displacement=200
+        )
+        event_dicts = [event_to_dict(event) for event in shuffled]
+        assert_tensor_agreement(
+            feature_estimator,
+            lambda: StreamingRccStore.from_header(header),
+            event_dicts,
+        )
+
+    def test_restart_reproduces_live_feature_key(self, feature_estimator):
+        """A restart replaying the same WAL prefix in one batch answers
+        with the same feature key and bitwise the same features."""
+        events = random_event_dicts(5, n=40)
+        query = {"type": "domd_query", "avail_ids": [2], "t_star": 50.0}
+        service, ingestor = live_service(feature_estimator, toy_store())
+        boot_key = service.handle(query)["provenance"]["feature_key"]
+        assert "@" not in boot_key
+        keys = []
+        for lo in range(0, len(events), 6):
+            ingestor.apply_events(events[lo : lo + 6])
+            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+            keys.append(service.handle(query)["provenance"]["feature_key"])
+        assert keys[-1] == f"{boot_key}@{ingestor.watermark}"
+        assert len(set(keys)) == len(keys)
+
+        restarted, replayed = live_service(feature_estimator, toy_store())
+        replayed.apply_events(events)
+        restarted.rebind(replayed.dataset(), touched=replayed.take_touched())
+        response = restarted.handle(query)
+        assert response["watermark"] == ingestor.watermark
+        assert response["provenance"]["feature_key"] == keys[-1]
+        assert np.array_equal(
+            restarted._estimator._tensor_data.values.view(np.int64),
+            service._estimator._tensor_data.values.view(np.int64),
+        )
+
+    def test_live_rebinds_skip_fingerprints_and_the_cache(
+        self, feature_estimator, monkeypatch
+    ):
+        from repro.data.schema import NavyMaintenanceDataset
+        from repro.runtime.cache import ArtifactCache
+
+        events = random_event_dicts(2, n=30)
+        service, ingestor = live_service(feature_estimator, toy_store())
+        service.handle({"type": "domd_query", "avail_ids": [1], "t_star": 50.0})
+        calls = {"fingerprint": 0, "cache": 0}
+        fingerprint = NavyMaintenanceDataset.fingerprint
+        lookup = ArtifactCache.get_or_build
+
+        def counted_fingerprint(self):
+            calls["fingerprint"] += 1
+            return fingerprint(self)
+
+        def counted_lookup(self, key, build):
+            calls["cache"] += 1
+            return lookup(self, key, build)
+
+        monkeypatch.setattr(NavyMaintenanceDataset, "fingerprint", counted_fingerprint)
+        monkeypatch.setattr(ArtifactCache, "get_or_build", counted_lookup)
+        for lo in range(0, len(events), 5):
+            ingestor.apply_events(events[lo : lo + 5])
+            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+            response = service.handle(
+                {"type": "domd_query", "avail_ids": [1, 2], "t_star": 50.0}
+            )
+            assert response["ok"], response
+        assert calls == {"fingerprint": 0, "cache": 0}
+
+    def test_rebind_before_features_are_bound_stays_lazy(self, feature_estimator):
+        store = toy_store()
+        ingestor = StreamIngestor(store)
+        service = DomdService(feature_estimator.serve(store.dataset()))
+        service.ingest = ingestor
+        ingestor.apply_events(random_event_dicts(1, n=12))
+        dataset = ingestor.dataset()
+        service.rebind(dataset, touched=ingestor.take_touched())
+        assert service._estimator._features_pending
+        assert service._estimator._tensor_data is None
+        fresh = StatusFeatureExtractor(
+            dataset, service._estimator.timeline.t_stars
+        ).sweep()
+        assert np.array_equal(service._estimator._tensor.values, fresh.values)
+        assert service._estimator.provenance()["feature_key"].endswith(
+            f"@{ingestor.watermark}"
+        )

@@ -141,7 +141,9 @@ class TestWalFollowing:
             ingestor,
             wal,
             gate=gate,
-            on_batch=lambda ing: service.rebind(ing.dataset()),
+            on_batch=lambda ing: service.rebind(
+                ing.dataset(), touched=ing.take_touched()
+            ),
         )
         applied = follower.poll_once()
         assert applied == 5
@@ -162,6 +164,35 @@ class TestWalFollowing:
         # nothing new: the next poll is a no-op and takes no write lock
         assert follower.poll_once() == 0
         assert gate.writes == 1
+
+    def test_half_applied_batch_still_refreshes(self, fitted, tmp_path):
+        """A record the store rejects stops the batch, but the prefix it
+        applied is refreshed before the error surfaces."""
+        from repro.errors import StreamStateError
+
+        dataset, splits, estimator = fitted
+        service, ingestor, _ = make_service(dataset, splits, estimator)
+        create = live_events(dataset, n=1)[0]
+        wal = tmp_path / "wal.jsonl"
+        with WalWriter(wal) as writer:
+            writer.append_batch(
+                [
+                    create,
+                    {"kind": "rcc_settled", "rcc_id": create["rcc_id"],
+                     "settle_date": create["create_date"] - 5},
+                ]
+            )
+        refreshed = []
+        follower = WalFollower(
+            ingestor,
+            wal,
+            on_batch=lambda ing: refreshed.append(
+                (ing.watermark, ing.take_touched())
+            ),
+        )
+        with pytest.raises(StreamStateError, match="before its creation day"):
+            follower.poll_once()
+        assert refreshed == [(1, {create["avail_id"]})]
 
     def test_follower_thread_tails_a_growing_wal(self, fitted, tmp_path):
         dataset, splits, estimator = fitted
