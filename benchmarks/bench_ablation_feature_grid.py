@@ -57,11 +57,11 @@ def test_ablation_feature_grid(benchmark, dataset, splits):
                 ranking = score_ranking("pearson", X_dyn, y_train)
                 selected = ranking[: min(60, tensor.n_features)]
                 model_set = TimelineModelSet(config, tensor.feature_names, static_names)
-                design, _ = model_set._design(
+                design = model_set._design(
                     X_static_all[train_rows], X_dyn, selected, None
                 )
                 model = model_set._new_model().fit(design, y_train)
-                val_design, _ = model_set._design(
+                val_design = model_set._design(
                     X_static_all[val_rows], tensor.values[val_rows, ti, :], selected, None
                 )
                 errors.append(mae(y_val, model.predict(val_design)))

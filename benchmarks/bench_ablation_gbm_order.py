@@ -45,7 +45,7 @@ def test_ablation_gbm_order(benchmark, optimizer):
                     config, optimizer.dyn_names, optimizer.static_names
                 )
                 selected = rankings[ti][:60]
-                design, _ = model_set._design(
+                design = model_set._design(
                     optimizer.Xs_train, optimizer.dyn_train[:, ti, :], selected, None
                 )
                 model = model_set._new_model()
@@ -54,7 +54,7 @@ def test_ablation_gbm_order(benchmark, optimizer):
                     _patched_fit(inner, design, optimizer.y_train)
                 else:
                     inner.fit(design, optimizer.y_train)
-                val_design, _ = model_set._design(
+                val_design = model_set._design(
                     optimizer.Xs_val, optimizer.dyn_val[:, ti, :], selected, None
                 )
                 errors.append(mae(optimizer.y_val, inner.predict(val_design)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import fusion
 from repro.core.config import PipelineConfig, paper_final_config
 from repro.core.timeline import LogicalTimeline
 from repro.core.timeline_models import TimelineModelSet
@@ -351,62 +352,68 @@ class DomdEstimator:
 
         Exactly one of ``t_star`` (shared logical time) or
         ``physical_day`` (converted per avail) must be given.
+
+        The avails are answered together: each window model predicts
+        once, over every avail whose current window reaches it, and the
+        avails with the same window count are fused together.  Each
+        avail's answer is bitwise equal to querying it alone.
         """
         self._check_fitted()
-        assert self.context is not None
+        assert self._model_set is not None and self.context is not None
         if (t_star is None) == (physical_day is None):
             raise ConfigurationError("provide exactly one of t_star / physical_day")
         self.context.counter("estimator.queries")
         self.context.counter("estimator.queried_avails", len(avail_ids))
-        estimates = []
         with self.context.span("query"):
-            for avail_id in avail_ids:
-                # Cooperative cancellation: a pooled request checks its
-                # deadline once per avail, so cancellation lands within
-                # one avail's worth of work.
-                check_deadline("estimator.query")
+            ids = [int(a) for a in avail_ids]
+            t_stars = []
+            for avail_id in ids:
                 avail_t = (
                     float(t_star)
                     if t_star is not None
-                    else self.logical_time_of(int(avail_id), float(physical_day))
+                    else self.logical_time_of(avail_id, float(physical_day))
                 )
                 if avail_t < 0:
                     raise ConfigurationError(
                         f"avail {avail_id}: queried before its actual start (t*={avail_t:.1f})"
                     )
-                estimates.append(self._estimate_one(int(avail_id), avail_t))
+                t_stars.append(avail_t)
+            last = np.array(
+                [self.timeline.window_index(t) for t in t_stars], dtype=np.int64
+            )
+            rows = self._tensor.rows_for(ids)
+            with self.context.span("predict"):
+                # Cooperative cancellation: a pooled request checks its
+                # deadline once per window model.
+                raw = self._model_set.predict_upto(
+                    self._X_static[rows],
+                    self._tensor.values[rows],
+                    last,
+                    checkpoint="estimator.query",
+                )
+            with self.context.span("fuse"):
+                fused = fusion.fuse_upto(raw, last, self.config.fusion)
+            telemetry = self.context.metrics.telemetry
+            estimates = []
+            for i, avail_id in enumerate(ids):
+                window = int(last[i])
+                current = float(fused[i, window])
+                if telemetry is not None:
+                    # Live prediction-distribution drift per logical
+                    # window: a shift here flags feature/population drift
+                    # even before any ground-truth delay is known.
+                    telemetry.drift_observe("prediction", window, current)
+                estimates.append(
+                    DomdEstimate(
+                        avail_id=avail_id,
+                        t_star=t_stars[i],
+                        window_t_stars=self.timeline.t_stars[: window + 1].copy(),
+                        window_estimates=raw[i, : window + 1].copy(),
+                        fused_estimates=fused[i, : window + 1].copy(),
+                        current_estimate=current,
+                    )
+                )
         return estimates
-
-    def _estimate_one(self, avail_id: int, t_star: float) -> DomdEstimate:
-        assert self._model_set is not None and self._tensor is not None
-        assert self._X_static is not None
-        assert self.context is not None
-        row = self._tensor.rows_for(np.array([avail_id]))
-        X_static = self._X_static[row]
-        last_window = self.timeline.window_index(t_star)
-        raw = np.empty(last_window + 1)
-        with self.context.span("predict"):
-            for ti in range(last_window + 1):
-                X_dyn = self._tensor.values[row, ti, :]
-                raw[ti] = self._model_set.predict_window(X_static, X_dyn, ti)[0]
-        from repro.core.fusion import fuse_progressive
-
-        with self.context.span("fuse"):
-            fused = fuse_progressive(raw[None, :], self.config.fusion)[0]
-        telemetry = self.context.metrics.telemetry
-        if telemetry is not None:
-            # Live prediction-distribution drift per logical window: a
-            # shift here flags feature/population drift even before any
-            # ground-truth delay is known.
-            telemetry.drift_observe("prediction", last_window, float(fused[-1]))
-        return DomdEstimate(
-            avail_id=avail_id,
-            t_star=t_star,
-            window_t_stars=self.timeline.t_stars[: last_window + 1].copy(),
-            window_estimates=raw,
-            fused_estimates=fused,
-            current_estimate=float(fused[-1]),
-        )
 
     # ------------------------------------------------------------------
     def explain(
@@ -431,7 +438,7 @@ class DomdEstimator:
             X_static, X_dyn, window_index
         )
         window = self._model_set.windows[window_index]
-        design, _ = self._model_set._design(
+        design = self._model_set._design(
             X_static,
             X_dyn,
             window.selected,

@@ -52,7 +52,14 @@ def fuse(predictions: np.ndarray, method: str) -> np.ndarray:
     if method == "median":
         return np.median(predictions, axis=1)
     if method == "ewma":
-        return predictions @ _ewma_weights(predictions.shape[1])
+        # Accumulated column by column with elementwise ops: a BLAS
+        # product rounds a one-row matrix differently from a many-row
+        # one, and a row's fused value must not depend on its batch.
+        weights = _ewma_weights(predictions.shape[1])
+        out = predictions[:, 0] * weights[0]
+        for j in range(1, predictions.shape[1]):
+            out += predictions[:, j] * weights[j]
+        return out
     raise ConfigurationError(
         f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}"
     )
@@ -84,3 +91,24 @@ def fuse_progressive(predictions: np.ndarray, method: str) -> np.ndarray:
     raise ConfigurationError(
         f"unknown fusion method {method!r}; expected one of {FUSION_METHODS}"
     )
+
+
+def fuse_upto(
+    predictions: np.ndarray, last_window: np.ndarray, method: str
+) -> np.ndarray:
+    """:func:`fuse_progressive` of each row over the windows it reaches.
+
+    Row ``i`` reaches windows ``0..last_window[i]``; its columns beyond
+    stay NaN.  Rows with the same window count are fused in one
+    :func:`fuse_progressive` call.  Every method fuses each row on its
+    own, so the result equals fusing the rows one at a time, bit for
+    bit.
+    """
+    last_window = np.asarray(last_window, dtype=np.int64)
+    out = np.full(np.shape(predictions), np.nan)
+    for window in set(last_window.tolist()):
+        rows = last_window == window
+        out[rows, : window + 1] = fuse_progressive(
+            predictions[rows, : window + 1], method
+        )
+    return out

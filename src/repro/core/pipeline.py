@@ -191,11 +191,11 @@ class PipelineOptimizer:
             )
             # Fit just one window by hand (avoids refitting the rest).
             selected = rankings[ti][:k]
-            design, _ = model_set._design(
+            design = model_set._design(
                 self.Xs_train, self.dyn_train[:, ti, :], selected, None
             )
             model = model_set._new_model().fit(design, self.y_train)
-            val_design, _ = model_set._design(
+            val_design = model_set._design(
                 self.Xs_val, self.dyn_val[:, ti, :], selected, None
             )
             errors.append(mae(self.y_val, model.predict(val_design)))

@@ -339,43 +339,30 @@ class DomdService:
             raise ValueError("'date' is required for fleet_status")
         day = self._parse_date(date)
         dataset = self._estimator._dataset
-        assert dataset is not None and self.context is not None
+        assert dataset is not None
         avails = dataset.avails
         act_start = np.asarray(avails["act_start"])
         planned = np.asarray(avails["planned_duration"])
         progress = (day - act_start) / planned * 100.0
         executing = (progress >= 0.0) & (progress <= 100.0)
         executing_rows = np.flatnonzero(executing)
-
-        # The current estimate depends on t* only through its timeline
-        # window, so avails whose progress falls in the same window share
-        # one batched query — the number of estimator queries is bounded
-        # by the timeline's window count, not the executing-fleet size.
-        timeline = self._estimator.timeline
-        rows_by_window: dict[int, list[int]] = {}
-        for row in executing_rows:
-            window = timeline.window_index(float(progress[row]))
-            rows_by_window.setdefault(window, []).append(int(row))
-        estimate_by_row: dict[int, float] = {}
-        for window, rows in sorted(rows_by_window.items()):
-            self.context.counter("service.fleet_status.batches")
-            batch_ids = [int(avails["avail_id"][row]) for row in rows]
-            estimates = self._estimator.query(
-                batch_ids, t_star=float(timeline.t_stars[window])
-            )
-            for row, estimate in zip(rows, estimates):
-                estimate_by_row[row] = estimate.current_estimate
-
-        out = []
-        for row in executing_rows:
-            out.append(
-                {
-                    "avail_id": int(avails["avail_id"][row]),
-                    "ship_id": int(avails["ship_id"][row]),
-                    "progress_pct": round(float(progress[row]), 1),
-                    "estimated_delay_days": estimate_by_row[int(row)],
-                }
-            )
+        # One query for the whole executing fleet: it predicts each
+        # window model once, over every avail whose current window
+        # reaches it, so the cost is bounded by the timeline's window
+        # count in model calls, not by the executing-fleet size.
+        estimates = self._estimator.query(
+            [int(avails["avail_id"][row]) for row in executing_rows],
+            physical_day=float(day),
+        )
+        out = [
+            {
+                "avail_id": estimate.avail_id,
+                "ship_id": int(avails["ship_id"][row]),
+                "progress_pct": round(float(progress[row]), 1),
+                "estimated_delay_days": estimate.current_estimate,
+            }
+            for row, estimate in zip(executing_rows, estimates)
+        ]
         out.sort(key=lambda item: -item["estimated_delay_days"])
         return out
 

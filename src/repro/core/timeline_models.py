@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import fusion
 from repro.core.config import PipelineConfig
-from repro.core.fusion import fuse_progressive
 from repro.core.models import BaseModelAdapter, make_model
 from repro.core.timeline import LogicalTimeline
 from repro.errors import ConfigurationError, NotFittedError
 from repro.features.selection import score_ranking
-from repro.runtime import ExecutionContext, ensure_context
+from repro.runtime import ExecutionContext, check_deadline, ensure_context
 
 #: Name of the synthetic feature carrying the base model's prediction in
 #: the stacked architecture.
@@ -131,7 +131,7 @@ class TimelineModelSet:
                         self.config.selection_method, X_dyn, y, seed=self.config.seed
                     )
                 selected = ranking[:k]
-            design, names = self._design(X_static, X_dyn, selected, base_pred)
+            design = self._design(X_static, X_dyn, selected, base_pred)
             with self.context.span("fit_window"):
                 model = self._new_model().fit(design, y)
             self.context.counter("models.windows_fitted")
@@ -140,7 +140,7 @@ class TimelineModelSet:
                     t_star=float(t_star),
                     selected=selected,
                     model=model,
-                    design_names=names,
+                    design_names=self._design_names(selected),
                 )
             )
         return self
@@ -151,15 +151,20 @@ class TimelineModelSet:
         X_dyn: np.ndarray,
         selected: np.ndarray,
         base_pred: np.ndarray | None,
-    ) -> tuple[np.ndarray, list[str]]:
+    ) -> np.ndarray:
         dyn_selected = X_dyn[:, selected]
-        dyn_names = [self.dyn_feature_names[i] for i in selected]
         if self.config.architecture == "stacked":
             assert base_pred is not None
-            design = np.column_stack([dyn_selected, base_pred])
-            return design, dyn_names + [STATIC_BASE_PRED]
-        design = np.column_stack([X_static, dyn_selected])
-        return design, list(self.static_feature_names) + dyn_names
+            return np.column_stack([dyn_selected, base_pred])
+        return np.column_stack([X_static, dyn_selected])
+
+    def _design_names(self, selected: np.ndarray) -> list[str]:
+        """Column names of :meth:`_design`'s matrix (kept off the
+        predict path, which never reads them)."""
+        dyn_names = [self.dyn_feature_names[i] for i in selected]
+        if self.config.architecture == "stacked":
+            return dyn_names + [STATIC_BASE_PRED]
+        return list(self.static_feature_names) + dyn_names
 
     # ------------------------------------------------------------------
     def _check_fitted(self) -> None:
@@ -180,17 +185,43 @@ class TimelineModelSet:
         base_pred = (
             self._base_model.predict(X_static) if self._base_model is not None else None
         )
-        design, _ = self._design(X_static, X_dyn, window.selected, base_pred)
+        design = self._design(X_static, X_dyn, window.selected, base_pred)
         return window.model.predict(design)
 
-    def predict_matrix(self, X_static: np.ndarray, dyn_tensor: np.ndarray) -> np.ndarray:
-        """Raw per-window predictions, shape (n, n_windows)."""
+    def predict_upto(
+        self,
+        X_static: np.ndarray,
+        dyn_tensor: np.ndarray,
+        last_window: np.ndarray,
+        checkpoint: str = "timeline_models.predict",
+    ) -> np.ndarray:
+        """Raw predictions of the windows each row reaches, shape (n, n_windows).
+
+        Row ``i`` reaches windows ``0..last_window[i]``; its columns
+        beyond stay NaN.  Each window model predicts once, over every
+        row that reaches it.  A row's prediction does not depend on the
+        other rows of the call, so the result equals predicting the rows
+        one at a time, bit for bit.  The ambient deadline is checked
+        (as ``checkpoint``) before each window.
+        """
         self._check_fitted()
+        X_static = np.asarray(X_static, dtype=np.float64)
         dyn_tensor = np.asarray(dyn_tensor, dtype=np.float64)
-        out = np.empty((len(X_static), len(self._windows)))
-        for ti in range(len(self._windows)):
-            out[:, ti] = self.predict_window(X_static, dyn_tensor[:, ti, :], ti)
+        last_window = np.asarray(last_window, dtype=np.int64)
+        out = np.full((len(X_static), len(self._windows)), np.nan)
+        for ti in range(int(last_window.max(initial=-1)) + 1):
+            check_deadline(checkpoint)
+            rows = last_window >= ti
+            out[rows, ti] = self.predict_window(
+                X_static[rows], dyn_tensor[rows, ti, :], ti
+            )
         return out
+
+    def predict_matrix(self, X_static: np.ndarray, dyn_tensor: np.ndarray) -> np.ndarray:
+        """Raw per-window predictions, shape (n, n_windows): every row
+        reaches every window."""
+        reach = np.full(len(X_static), len(self.windows) - 1)
+        return self.predict_upto(X_static, dyn_tensor, reach)
 
     def predict_fused(self, X_static: np.ndarray, dyn_tensor: np.ndarray) -> np.ndarray:
         """Fused estimate at every window, shape (n, n_windows).
@@ -202,7 +233,7 @@ class TimelineModelSet:
         raw = self.predict_matrix(X_static, dyn_tensor)
         assert self.context is not None
         with self.context.span("fuse"):
-            return fuse_progressive(raw, self.config.fusion)
+            return fusion.fuse_progressive(raw, self.config.fusion)
 
     def contributions_at(
         self, X_static: np.ndarray, X_dyn: np.ndarray, window_index: int
@@ -217,5 +248,8 @@ class TimelineModelSet:
         base_pred = (
             self._base_model.predict(X_static) if self._base_model is not None else None
         )
-        design, names = self._design(X_static, X_dyn, window.selected, base_pred)
-        return window.model.contributions(design), names
+        design = self._design(X_static, X_dyn, window.selected, base_pred)
+        return (
+            window.model.contributions(design),
+            self._design_names(window.selected),
+        )

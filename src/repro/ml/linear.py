@@ -19,6 +19,20 @@ import numpy as np
 from repro.errors import ConfigurationError, NotFittedError
 
 
+def _linear_predict(X: np.ndarray, coef: np.ndarray, intercept: float) -> np.ndarray:
+    """``X @ coef + intercept``, accumulated one column at a time.
+
+    A BLAS product rounds a one-row matrix differently from a many-row
+    one; elementwise accumulation keeps each row's prediction
+    independent of the rows predicted with it.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(len(X))
+    for j, weight in enumerate(coef):
+        out += X[:, j] * weight
+    return out + intercept
+
+
 @dataclass
 class LinearRegression:
     """Unregularised least squares via ``numpy.linalg.lstsq``."""
@@ -50,7 +64,7 @@ class LinearRegression:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None:
             raise NotFittedError("LinearRegression is not fitted")
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
+        return _linear_predict(X, self.coef_, self.intercept_)
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -144,7 +158,7 @@ class ElasticNet:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self._fitted or self.coef_ is None:
             raise NotFittedError("ElasticNet is not fitted")
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
+        return _linear_predict(X, self.coef_, self.intercept_)
 
     def n_nonzero(self) -> int:
         """Number of non-zero coefficients (sparsity diagnostic)."""

@@ -4,10 +4,11 @@ A shard serves exactly the ships the ring assigns it: its dataset keeps
 those ships' rows, their avails, and those avails' RCCs, and drops
 everything else.  This is safe because the estimator's features are
 strictly **per-avail** — every group id of the status-feature tensor is
-keyed by (avail, rcc type, SWLIN digit), and ``_estimate_one`` reads
-only its own avail's tensor row — so a shard's estimate for an avail it
-owns is bitwise identical to the monolith's estimate from the full
-dataset (pinned by the shard/monolith differential test).
+keyed by (avail, rcc type, SWLIN digit), and a query predicts and fuses
+each avail's tensor row independently of the other rows in its batch —
+so a shard's estimate for an avail it owns is bitwise identical to the
+monolith's estimate from the full dataset (pinned by the shard/monolith
+differential test).
 
 The fitted model artefact is **shared**: every shard loads the same
 model file and re-extracts features for its slice only, so shard

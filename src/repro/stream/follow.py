@@ -6,6 +6,14 @@ All mutation — index maintenance *and* rebinding the service's estimator
 to the refreshed dataset — happens under the write side of a
 :class:`~repro.runtime.concurrency.ReadWriteGate`, while query workers
 hold the read side, so a request never observes a half-applied batch.
+
+A poll that fails — a torn WAL mid-write, an IO error, a record the
+store rejects — is retried on the next poll.  A rejected record fails
+every poll and holds the watermark still, so each failed poll also
+holds the :data:`STUCK_ALERT` condition active (which degrades
+``health``), a new failure emits one ``error`` event, and the
+ingestor's status reports the follower's ``errors``/``last_error``.
+The next poll that applies records clears the condition.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from repro.errors import ConfigurationError
 from repro.stream.ingest import StreamIngestor
 from repro.stream.wal import read_wal
 
+#: Alert condition held while the follower's polls fail.
+STUCK_ALERT = "ingest:follower_stuck"
+
 
 class WalFollower(threading.Thread):
     """Daemon thread that tails a WAL into an ingestor.
@@ -26,6 +37,8 @@ class WalFollower(threading.Thread):
     ----------
     ingestor:
         Target ingestor; its watermark decides where tailing starts.
+        The follower registers itself as ``ingestor.follower`` and
+        reports failures on the telemetry hub of ``ingestor.context``.
     wal_path:
         WAL file to poll (may not exist yet — reads as empty).
     gate:
@@ -63,7 +76,10 @@ class WalFollower(threading.Thread):
         self.batches_applied = 0
         self.errors = 0
         self.last_error: str | None = None
+        #: ``(seq, message)`` of the failure the last poll hit, if any.
+        self._failure: tuple[int, str] | None = None
         self._stop_event = threading.Event()
+        ingestor.follower = self
 
     def _write_scope(self):
         if self.gate is None:
@@ -102,18 +118,38 @@ class WalFollower(threading.Thread):
                 self.batches_applied += 1
         return applied
 
-    def run(self) -> None:  # pragma: no cover - exercised via serve tests
+    def status(self) -> dict[str, Any]:
+        """Failure counters for the ingestor's status block."""
+        return {"errors": self.errors, "last_error": self.last_error}
+
+    def run(self) -> None:
         while not self._stop_event.is_set():
             try:
                 applied = self.poll_once()
             except Exception as exc:
-                # A torn WAL mid-write or transient IO error must not
-                # kill the serving loop; record and retry next poll.
-                self.errors += 1
-                self.last_error = f"{type(exc).__name__}: {exc}"
+                # Must not kill the serving loop: record, alert, retry.
+                self._note_failure(f"{type(exc).__name__}: {exc}")
                 applied = 0
+            if applied and self._failure is not None:
+                self._failure = None
+                self.ingestor.context.telemetry.alerts.set_condition(
+                    STUCK_ALERT, False
+                )
             if not applied:
                 self._stop_event.wait(self.poll_interval)
+
+    def _note_failure(self, message: str) -> None:
+        # Records apply in sequence, so the one that failed (or could
+        # not be read) is the first past the watermark.
+        seq = self.ingestor.watermark + 1
+        self.errors += 1
+        self.last_error = message
+        telemetry = self.ingestor.context.telemetry
+        if self._failure != (seq, message):
+            # One event per new failure, not one per retried poll.
+            self._failure = (seq, message)
+            telemetry.emit("error", code="follower_stuck", seq=seq, message=message)
+        telemetry.alerts.set_condition(STUCK_ALERT, True, seq=seq, error=message)
 
     def stop(self, timeout: float | None = 5.0) -> None:
         """Signal the thread to exit and join it."""

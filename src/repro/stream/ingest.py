@@ -101,6 +101,9 @@ class StreamIngestor:
         #: applies nothing (so the freshness *histogram* goes silent);
         #: this pending-side gauge is what keeps rising instead.
         self._oldest_pending_at: float | None = None
+        #: The :class:`~repro.stream.follow.WalFollower` tailing a WAL
+        #: into this ingestor, if any; :meth:`status` reports its errors.
+        self.follower: Any = None
         for adapter in self.adapters.values():
             adapter.watermark = self.watermark or None
 
@@ -331,7 +334,7 @@ class StreamIngestor:
             freshness_lag = max(now - self._oldest_pending_at, 0.0)
         else:
             freshness_lag = age if age is not None else 0.0
-        return {
+        status: dict[str, Any] = {
             "watermark_seq": self.watermark,
             "wal_end_seq": self._wal_end_seq,
             "lag_events": lag,
@@ -354,6 +357,9 @@ class StreamIngestor:
                 for design, adapter in self.adapters.items()
             },
         }
+        if self.follower is not None:
+            status["follower"] = self.follower.status()
+        return status
 
     def gauges(self) -> dict[str, float]:
         """Numeric-only :meth:`status` view for the telemetry sampler.

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import DomdEstimator, PipelineConfig
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DeadlineExceeded, NotFittedError
 from repro.ml import GbmParams
+from repro.runtime import Deadline, ambient_scope
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,53 @@ class TestQuery:
         payload = result.as_dict()
         assert payload["avail_id"] == 0
         assert payload["windows"] == [0.0, 25.0]
+
+
+class TestQueryDeadline:
+    """The batched query checks the ambient deadline once per window."""
+
+    @pytest.fixture()
+    def predicted_windows(self, estimator, monkeypatch):
+        model_set = estimator._model_set
+        predict_window = model_set.predict_window
+        windows = []
+
+        def recording(X_static, X_dyn, window_index):
+            windows.append(window_index)
+            return predict_window(X_static, X_dyn, window_index)
+
+        monkeypatch.setattr(model_set, "predict_window", recording)
+        return windows
+
+    def test_expired_deadline_stops_before_the_first_window(
+        self, estimator, predicted_windows
+    ):
+        now = [0.0]
+        deadline = Deadline(0.001, clock=lambda: now[0])
+        now[0] = 1.0
+        with ambient_scope(deadline=deadline):
+            with pytest.raises(DeadlineExceeded, match="estimator.query"):
+                estimator.query([0, 1, 2], t_star=80.0)
+        assert predicted_windows == []
+
+    def test_deadline_lands_between_windows(self, estimator, predicted_windows):
+        ticks = iter([0.0, 0.0, 0.0])  # creation, then two window checks
+        deadline = Deadline(0.5, clock=lambda: next(ticks, 1.0))
+        with ambient_scope(deadline=deadline):
+            with pytest.raises(DeadlineExceeded, match="estimator.query"):
+                estimator.query([0, 1, 2], t_star=80.0)
+        assert predicted_windows == [0, 1]
+
+    def test_query_within_budget_completes(self, estimator, predicted_windows):
+        expected = estimator.query([0, 1, 2], t_star=80.0)
+        del predicted_windows[:]
+        with ambient_scope(deadline=Deadline(60.0)):
+            answered = estimator.query([0, 1, 2], t_star=80.0)
+        # 25% windows: t*=80 reaches windows 0, 25, 50 and 75.
+        assert predicted_windows == [0, 1, 2, 3]
+        assert [e.current_estimate for e in answered] == [
+            e.current_estimate for e in expected
+        ]
 
 
 class TestExplain:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DomdEstimator, PipelineConfig
+from repro.core import estimator as estimator_module
 from repro.ml import GbmParams
 
 
@@ -40,3 +41,30 @@ def test_query_at_exact_zero(small_dataset, small_splits):
     result = estimator.query([0], t_star=0.0)[0]
     assert len(result.window_estimates) == 1
     assert result.window_t_stars.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("fusion", ["average", "ewma"])
+def test_evaluate_matches_single_avail_queries_bitwise(
+    small_dataset, small_splits, fusion, monkeypatch
+):
+    """evaluate() fuses every avail in one batch; each fused value must
+    equal the avail's own one-avail query at that window's boundary."""
+    estimator = DomdEstimator(fast_config(fusion=fusion)).fit(
+        small_dataset, small_splits.train_ids
+    )
+    scored = []
+    monkeypatch.setattr(
+        estimator_module,
+        "metric_suite",
+        lambda y, fused: scored.append(np.array(fused)) or {"mae": 0.0},
+    )
+    estimator.evaluate(small_splits.test_ids)
+    assert len(scored) == estimator.timeline.n_models
+    for ti, boundary in enumerate(estimator.timeline.t_stars):
+        alone = np.array(
+            [
+                estimator.query([int(a)], t_star=float(boundary))[0].current_estimate
+                for a in small_splits.test_ids
+            ]
+        )
+        np.testing.assert_array_equal(scored[ti].view(np.int64), alone.view(np.int64))

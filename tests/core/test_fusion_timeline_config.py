@@ -11,6 +11,7 @@ from repro.core import (
     fuse_progressive,
     paper_final_config,
 )
+from repro.core.fusion import fuse_upto
 from repro.errors import ConfigurationError
 
 P = np.array([[10.0, 20.0, 30.0], [5.0, 1.0, 9.0]])
@@ -69,6 +70,39 @@ class TestFuseProgressive:
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
             fuse_progressive(P, "max")
+
+    @pytest.mark.parametrize("method", FUSION_METHODS)
+    def test_rows_fused_alone_match_the_batch_bitwise(self, method):
+        """A row's fused values must not depend on the rows fused with
+        it (a batched query mixes whichever avails it was asked for)."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n, k = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+            matrix = rng.normal(size=(n, k)) * rng.uniform(1.0, 100.0)
+            batch = fuse_progressive(matrix, method)
+            alone = np.vstack(
+                [fuse_progressive(matrix[i : i + 1], method) for i in range(n)]
+            )
+            np.testing.assert_array_equal(batch.view(np.int64), alone.view(np.int64))
+
+
+class TestFuseUpto:
+    @pytest.mark.parametrize("method", FUSION_METHODS)
+    def test_each_row_fused_over_its_own_windows(self, method):
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(9, 6)) * 30.0
+        last = np.array([0, 5, 2, 2, 5, 1, 0, 3, 4])
+        out = fuse_upto(matrix, last, method)
+        for i, window in enumerate(last):
+            alone = fuse_progressive(matrix[i : i + 1, : window + 1], method)[0]
+            np.testing.assert_array_equal(
+                out[i, : window + 1].view(np.int64), alone.view(np.int64)
+            )
+            assert np.isnan(out[i, window + 1 :]).all()
+
+    def test_empty(self):
+        out = fuse_upto(np.empty((0, 4)), np.empty(0, dtype=np.int64), "average")
+        assert out.shape == (0, 4)
 
 
 class TestLogicalTimeline:

@@ -101,3 +101,14 @@ class TestElasticNet:
     def test_rejects_1d(self):
         with pytest.raises(ConfigurationError):
             ElasticNet().fit(np.zeros(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("model", [LinearRegression(), ElasticNet(alpha=0.01)])
+def test_rows_predicted_alone_match_the_batch_bitwise(model, rng):
+    """A row's prediction must not depend on the rows predicted with it
+    (a batched DoMD query mixes whichever avails it was asked for)."""
+    X = rng.normal(size=(60, 40)) * 50.0
+    model.fit(X, X @ rng.normal(size=40) + rng.normal(size=60))
+    batch = model.predict(X)
+    alone = np.array([model.predict(X[i : i + 1])[0] for i in range(len(X))])
+    np.testing.assert_array_equal(batch.view(np.int64), alone.view(np.int64))

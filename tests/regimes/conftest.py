@@ -83,15 +83,23 @@ def dump_reproducer(regime: str, suite: str, payload: object) -> str | None:
 
 
 def fail_with_reproducer(
-    regime: str, suite: str, label: str, minimal: list, total: int
+    regime: str,
+    suite: str,
+    label: str,
+    minimal: list,
+    total: int,
+    unit: str = "events",
 ) -> None:
-    """pytest.fail with the ddmin-shrunk reproducer, artifact included."""
+    """pytest.fail with the ddmin-shrunk reproducer, artifact included.
+
+    ``minimal`` is the shrunk list of ``unit`` (WAL events, or the avail
+    ids of a batched query)."""
     artifact = dump_reproducer(
-        regime, suite, {"regime": regime, "label": label, "events": minimal}
+        regime, suite, {"regime": regime, "label": label, unit: minimal}
     )
     where = f"\nreproducer written to {artifact}" if artifact else ""
     pytest.fail(
         f"[{regime}] {label}\n"
-        f"minimal reproducer ({len(minimal)} of {total} events):{where}\n"
+        f"minimal reproducer ({len(minimal)} of {total} {unit}):{where}\n"
         f"{json.dumps(minimal, indent=2, default=str)}"
     )

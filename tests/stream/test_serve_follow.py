@@ -194,6 +194,71 @@ class TestWalFollowing:
             follower.poll_once()
         assert refreshed == [(1, {create["avail_id"]})]
 
+    def test_wedged_follower_alerts_until_it_applies_again(self, fitted, tmp_path):
+        """The half-applied wedge above, driven through the follower
+        thread: a record the store rejects fails every poll, and the
+        follower must say so instead of retrying silently."""
+        from repro.stream.follow import STUCK_ALERT
+
+        dataset, splits, estimator = fitted
+        service, _, context = make_service(dataset, splits, estimator)
+        ingestor = StreamIngestor(
+            StreamingRccStore.from_dataset(dataset), designs=("avl",), context=context
+        )
+        service.ingest = ingestor
+        create = live_events(dataset, n=1)[0]
+        settle = {"kind": "rcc_settled", "rcc_id": create["rcc_id"]}
+        wal = tmp_path / "wal.jsonl"
+        with WalWriter(wal) as writer:
+            writer.append_batch(
+                [create, dict(settle, settle_date=create["create_date"] - 5)]
+            )
+        follower = WalFollower(
+            ingestor,
+            wal,
+            on_batch=lambda ing: service.rebind(
+                ing.dataset(), touched=ing.take_touched()
+            ),
+            poll_interval=0.01,
+        )
+        follower.start()
+        try:
+            deadline = time.time() + 5.0
+            while follower.errors < 3 and time.time() < deadline:
+                time.sleep(0.01)
+            health = service.handle({"type": "health"})["result"]
+            assert health["status"] == "degraded"
+            assert health["alerts"]["firing"] == [STUCK_ALERT]
+            assert health["alerts"]["states"][STUCK_ALERT]["context"]["seq"] == 2
+            stuck = health["ingest"]["follower"]
+            assert stuck["errors"] >= 3
+            assert "before its creation day" in stuck["last_error"]
+            assert ingestor.watermark == 1
+            # One error event for the failure, however many polls retried it.
+            errors = [
+                event
+                for event in context.telemetry.events()
+                if event["kind"] == "error" and event.get("code") == "follower_stuck"
+            ]
+            assert [event["seq"] for event in errors] == [2]
+
+            # An operator replaces the rejected record: the next poll
+            # applies it and the condition clears.
+            wal.unlink()
+            with WalWriter(wal) as writer:
+                writer.append_batch(
+                    [create, dict(settle, settle_date=create["create_date"] + 5)]
+                )
+            while context.telemetry.alerts.firing() and time.time() < deadline:
+                time.sleep(0.01)
+            assert ingestor.watermark == 2
+            health = service.handle({"type": "health"})["result"]
+            assert health["alerts"]["firing"] == []
+            assert health["status"] == "ok"
+        finally:
+            follower.stop()
+        assert not follower.is_alive()
+
     def test_follower_thread_tails_a_growing_wal(self, fitted, tmp_path):
         dataset, splits, estimator = fitted
         service, ingestor, _ = make_service(dataset, splits, estimator)
