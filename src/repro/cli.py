@@ -298,20 +298,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads serving requests concurrently (default 1)",
+        help="worker threads serving requests concurrently "
+        "(stdin mode only, default 1)",
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=16,
-        help="bounded request-queue capacity (backpressure knob, default 16)",
+        help="bounded request-queue capacity (backpressure knob; "
+        "stdin mode only, default 16)",
     )
     serve.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
-        help="per-request deadline in milliseconds, measured from submission "
-        "(default: no deadline)",
+        help="per-request deadline in milliseconds, measured from submission; "
+        "with --listen, the wire deadline_ms the front door gives requests "
+        "that carry none (default: no deadline)",
     )
     serve.add_argument(
         "--sample-interval-ms",
@@ -840,8 +843,6 @@ def _cmd_serve_fleet(args, out: IO[str], context: ExecutionContext) -> int:
         shards=max(getattr(args, "shards", 2), 1),
         vnodes=getattr(args, "vnodes", 256),
         wal_dir=getattr(args, "wal_dir", None),
-        workers_per_shard=max(getattr(args, "workers", 1), 1),
-        queue_depth=getattr(args, "queue_depth", 16),
         deadline_ms=getattr(args, "deadline_ms", None),
         host=host,
         port=int(port_text),

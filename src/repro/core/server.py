@@ -102,6 +102,27 @@ class _WorkItem:
 _SHUTDOWN = object()
 
 
+def rejection_envelope(
+    service: DomdService, code: str, message: str
+) -> dict[str, Any]:
+    """An error envelope for a request refused before it reached
+    :meth:`DomdService.handle`, logged and trace-stamped.
+
+    Refusals leave no other record in the event log; the emitted
+    ``error`` event carries the emitting thread's trace id, and the
+    envelope carries the same id so the client can correlate.  The
+    pool's rejections and the shard server's expired-deadline answers
+    share it.
+    """
+    telemetry = service.context.metrics.telemetry
+    trace_id = None
+    if telemetry is not None:
+        trace_id = telemetry.emit("error", code=code, message=message)[
+            "trace_id"
+        ]
+    return error_envelope(code, message, trace_id=trace_id)
+
+
 class ServicePool:
     """Bounded-queue worker pool serving one shared :class:`DomdService`.
 
@@ -198,7 +219,9 @@ class ServicePool:
         """
         if self._closed:
             return PoolFuture.resolved(
-                self._rejection("overloaded", "serving pool is shut down")
+                rejection_envelope(
+                    self.service, "overloaded", "serving pool is shut down"
+                )
             )
         budget = deadline_ms if deadline_ms is not None else self.deadline_ms
         deadline = Deadline.after_ms(budget) if budget is not None else None
@@ -218,7 +241,8 @@ class ServicePool:
                 self._rejected += 1
             self._count("pool.rejected")
             return PoolFuture.resolved(
-                self._rejection(
+                rejection_envelope(
+                    self.service,
                     "overloaded",
                     f"serving queue is full ({self.queue_depth} requests"
                     f" queued); retry later",
@@ -232,22 +256,6 @@ class ServicePool:
 
     def _count(self, name: str) -> None:
         self.service.context.counter(name)
-
-    def _rejection(self, code: str, message: str) -> dict[str, Any]:
-        """A pool-generated error envelope, logged and trace-stamped.
-
-        Rejections never reach :meth:`DomdService.handle`, so without
-        this the event log would hold no record of them; the emitted
-        ``error`` event carries the emitting thread's trace id, and the
-        envelope carries the same id so the client can correlate.
-        """
-        telemetry = self.service.context.metrics.telemetry
-        trace_id = None
-        if telemetry is not None:
-            trace_id = telemetry.emit("error", code=code, message=message)[
-                "trace_id"
-            ]
-        return error_envelope(code, message, trace_id=trace_id)
 
     # ------------------------------------------------------------------
     # workers
@@ -277,7 +285,8 @@ class ServicePool:
             with self._lock:
                 self._deadline_exceeded += 1
             self._count("pool.deadline_exceeded")
-            return self._rejection(
+            return rejection_envelope(
+                self.service,
                 "deadline_exceeded",
                 f"deadline of {deadline.budget_seconds * 1000:.0f} ms"
                 " expired while the request was queued",
@@ -354,8 +363,10 @@ class ServicePool:
                     with self._lock:
                         self._rejected += 1
                     item.future.set(
-                        self._rejection(
-                            "overloaded", "serving pool shut down before execution"
+                        rejection_envelope(
+                            self.service,
+                            "overloaded",
+                            "serving pool shut down before execution",
                         )
                     )
         for _ in self._threads:

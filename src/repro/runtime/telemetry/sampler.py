@@ -24,8 +24,9 @@ through here.  A :class:`TelemetrySampler` runs on a
    bad samples arrived).
 
 The sampler never touches the request path: collection reads locked
-snapshots the serving threads already maintain, which is why its
-measured overhead on ``bench_pool_throughput`` stays under 2%.
+snapshots the serving threads already maintain.  Its CPU, with the
+continuous profiler beside it, stays within 2% of the serving thread's
+(``benchmarks/bench_observability_overhead.py``).
 """
 
 from __future__ import annotations

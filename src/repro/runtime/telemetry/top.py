@@ -263,9 +263,8 @@ def render_top(snapshot: Mapping[str, Any]) -> str:
             state = "up" if up else "DOWN"
             lines.append(
                 f"    shard {shard_id:<4} {state:<5}"
-                f" depth={_fmt(gauges.get('queue_depth'), 0)}"
-                f" inflight={_fmt(gauges.get('in_flight'), 0)}"
-                f" done={_fmt(gauges.get('completed'), 0)}"
+                f" active={_fmt(gauges.get('active_requests'), 0)}"
+                f" requests={_fmt(gauges.get('requests'), 0)}"
                 f" watermark={_fmt(gauges.get('watermark_seq'), 0)}"
                 f" lag={_fmt(gauges.get('lag_events'), 0)}"
             )

@@ -5,8 +5,8 @@ Layers, bottom-up — each importable on its own:
 * :mod:`~repro.serve.framing` — the length-prefixed JSON wire protocol;
 * :mod:`~repro.serve.ring` — the consistent-hash ring (ship → shard);
 * :mod:`~repro.serve.partition` — per-shard dataset slicing;
-* :mod:`~repro.serve.handler` — transport-agnostic request dispatch
-  (shared with the ``repro serve`` stdin loop);
+* :mod:`~repro.serve.handler` — the ``repro serve`` stdin loop's
+  request dispatch;
 * :mod:`~repro.serve.shard` / :mod:`~repro.serve.supervisor` — the
   worker processes and their lifecycle;
 * :mod:`~repro.serve.client` / :mod:`~repro.serve.router` — per-shard

@@ -45,12 +45,8 @@ def build_shard_specs(
     vnodes: int = DEFAULT_VNODES,
     wal_dir: str | None = None,
     designs: tuple[str, ...] = ("avl",),
-    workers: int = 1,
-    queue_depth: int = 16,
-    deadline_ms: float | None = None,
     events_dir: str | None = None,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    io_stall_ms: float | None = None,
 ) -> dict[int, dict[str, Any]]:
     """One picklable assembly spec per shard (shared model artefact)."""
     specs: dict[int, dict[str, Any]] = {}
@@ -61,14 +57,8 @@ def build_shard_specs(
             "vnodes": int(vnodes),
             "model": model,
             "data": data,
-            "workers": int(workers),
-            "queue_depth": int(queue_depth),
-            "deadline_ms": deadline_ms,
             "max_frame_bytes": int(max_frame_bytes),
         }
-        if io_stall_ms:
-            # Bench/smoke only: emulated backend I/O per request.
-            spec["io_stall_ms"] = float(io_stall_ms)
         if wal_dir:
             spec["wal_path"] = shard_wal_path(wal_dir, shard_id)
             spec["designs"] = list(designs)
@@ -85,7 +75,9 @@ class FleetService:
 
     Parameters mirror ``repro serve``'s flags; ``shards=N`` partitions
     the fleet over shard ids ``0..N-1``.  ``wal_dir=None`` serves the
-    static snapshot (ingest disabled).  The object is inert until
+    static snapshot (ingest disabled).  ``deadline_ms`` is the front
+    door's default wire budget for requests that carry none; it rides
+    the wire to the router and the shards.  The object is inert until
     :meth:`start`; idiomatic use is the context manager.
     """
 
@@ -97,8 +89,6 @@ class FleetService:
         vnodes: int = DEFAULT_VNODES,
         wal_dir: str | None = None,
         designs: tuple[str, ...] = ("avl",),
-        workers_per_shard: int = 1,
-        queue_depth: int = 16,
         deadline_ms: float | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -108,7 +98,6 @@ class FleetService:
         events_dir: str | None = None,
         context: Any | None = None,
         start_timeout: float = 120.0,
-        io_stall_ms: float | None = None,
     ):
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
@@ -130,17 +119,14 @@ class FleetService:
             vnodes=vnodes,
             wal_dir=wal_dir,
             designs=designs,
-            workers=workers_per_shard,
-            queue_depth=queue_depth,
-            deadline_ms=deadline_ms,
             events_dir=events_dir,
-            io_stall_ms=io_stall_ms,
         )
         self.supervisor = ShardSupervisor(self.specs, start_timeout=start_timeout)
         self.scatter_timeout = float(scatter_timeout)
         self.lag_alert_events = int(lag_alert_events)
         self._frontend_port = int(port)
         self._max_inflight = int(max_inflight)
+        self._deadline_ms = deadline_ms
         self.router: ShardRouter | None = None
         self.routing: RoutingTable | None = None
         self.frontend: FleetFrontend | None = None
@@ -190,6 +176,7 @@ class FleetService:
                 host=self.host,
                 port=self._frontend_port,
                 max_inflight=self._max_inflight,
+                deadline_ms=self._deadline_ms,
                 context=self.context,
             )
             self.frontend.start()

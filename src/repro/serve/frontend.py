@@ -13,9 +13,11 @@ p99 latency stays bounded at saturation instead of growing with the
 backlog.
 
 Per-request deadlines come from the wire: a ``deadline_ms`` field is
-validated here, enforced with ``asyncio.wait_for`` around the dispatch,
-and travels with the request so shards can bound their own queues with
-the same budget.  A request that blows its budget gets a
+validated here (requests without one get the front door's default, when
+set), enforced with ``asyncio.wait_for`` around the dispatch, and
+travels with the request, so the shard that executes it runs under the
+same budget — one that expired while it waited for the shard is
+answered without executing.  A request that blows its budget gets a
 ``deadline_exceeded`` envelope — retryable, by the pinned enumeration.
 
 Connection-level failures normalise exactly like the shard servers
@@ -35,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.core.service import error_envelope
+from repro.errors import ConfigurationError
 from repro.serve.framing import HEADER_BYTES, MAX_FRAME_BYTES, _HEADER, encode_frame
 
 #: Grace (seconds) past the wire deadline before the front-end gives up
@@ -58,6 +61,10 @@ class FleetFrontend:
     max_inflight:
         Dispatch-slot bound — the saturation point where ``overloaded``
         envelopes begin.
+    deadline_ms:
+        Default wire budget stamped on requests that carry no
+        ``deadline_ms`` (``repro serve --listen --deadline-ms``);
+        ``None`` leaves them unbounded.
     context:
         Optional :class:`~repro.runtime.ExecutionContext` for counters.
     """
@@ -69,13 +76,17 @@ class FleetFrontend:
         port: int = 0,
         max_inflight: int = 64,
         max_frame_bytes: int = MAX_FRAME_BYTES,
+        deadline_ms: float | None = None,
         context: Any | None = None,
     ):
+        if deadline_ms is not None and not deadline_ms > 0:
+            raise ConfigurationError(f"deadline_ms must be > 0, got {deadline_ms}")
         self.dispatch = dispatch
         self.host = host
         self._requested_port = int(port)
         self.max_inflight = int(max_inflight)
         self.max_frame_bytes = int(max_frame_bytes)
+        self.deadline_ms = deadline_ms
         self.context = context
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight, thread_name_prefix="repro-frontend"
@@ -91,6 +102,8 @@ class FleetFrontend:
         self._startup_error: BaseException | None = None
         self._port: int | None = None
         self._active_requests = 0
+        #: Open connections (handler task -> writer); event-loop thread only.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._counters = {
             "connections": 0,
             "requests": 0,
@@ -141,17 +154,25 @@ class FleetFrontend:
         self._port = self._server.sockets[0].getsockname()[1]
         self._ready.set()
         async with self._server:
-            # Returning (rather than stopping the loop) lets asyncio.run
-            # cancel lingering connection tasks through its own teardown.
             await self._stop_event.wait()
             self._server.close()
             await self._server.wait_closed()
+            deadline = self._loop.time() + self._stop_timeout
             if self._drain_on_stop:
-                deadline = self._loop.time() + self._stop_timeout
                 while (
                     self._active_requests > 0 and self._loop.time() < deadline
                 ):
                     await asyncio.sleep(0.01)
+            # Close every open connection so its handler ends on EOF.  A
+            # handler left for asyncio.run's teardown to cancel makes
+            # Python 3.11's stream callback log a CancelledError traceback.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(
+                    list(self._connections),
+                    timeout=max(deadline - self._loop.time(), 0.1),
+                )
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop accepting; optionally wait out in-flight dispatches."""
@@ -181,6 +202,8 @@ class FleetFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._count("connections")
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -232,6 +255,7 @@ class FleetFrontend:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._connections[task]
 
     async def _drain_oversize(
         self, reader: asyncio.StreamReader, length: int
@@ -267,6 +291,8 @@ class FleetFrontend:
         budget: float | None = None
         if isinstance(request, dict):
             deadline_ms = request.get("deadline_ms")
+            if deadline_ms is None and self.deadline_ms is not None:
+                deadline_ms = request["deadline_ms"] = self.deadline_ms
             if deadline_ms is not None:
                 if (
                     isinstance(deadline_ms, bool)

@@ -1,14 +1,12 @@
-"""Transport-agnostic request dispatch: one body, every transport.
+"""Request dispatch for the ``repro serve`` stdin loop.
 
-Before the fleet service existed, the request-dispatch body lived
-inline in the CLI's stdin loop (``repro serve``), fused to newline
-framing and ``print``.  :class:`RequestHandler` is that body extracted:
-*parse → dispatch (pooled or inline, under the serving gate) → response
-future*, with no opinion about where bytes come from or go to.  The
-stdin loop, the shard servers and the TCP front-end all route through
-it, so the three transports cannot drift on dispatch semantics —
-and a regression test pins the stdin path byte-identical to the
-pre-extraction behaviour.
+:class:`RequestHandler` is the stdin loop's dispatch body: *parse →
+dispatch (pooled or inline, under the serving gate) → response future*,
+with no opinion about where bytes come from or go to.  A regression
+test pins the stdin path byte-identical to the historical inline loop.
+The TCP fleet does not route through it: the front end decodes frames
+itself, and each shard server runs requests inline under its own lock
+(:mod:`repro.serve.shard`).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.core.service import DomdService, error_envelope
 
 
 class RequestHandler:
-    """Parse-and-dispatch core shared by the stdin, shard and TCP paths.
+    """Parse-and-dispatch core of the stdin loop.
 
     Parameters
     ----------
@@ -49,31 +47,21 @@ class RequestHandler:
         self.gate = gate
 
     # ------------------------------------------------------------------
-    def dispatch(
-        self,
-        request: Any,
-        block: bool = True,
-        deadline_ms: float | None = None,
-    ) -> PoolFuture:
+    def dispatch(self, request: Any, block: bool = True) -> PoolFuture:
         """Dispatch one parsed request; always returns a future.
 
         ``block`` only matters with a pool: ``True`` (stdin — the
         producer *is* the client, so backpressure propagates upstream)
-        waits for a queue slot; ``False`` (network serving) bounces a
-        full queue as an immediate ``overloaded`` envelope.
+        waits for a queue slot; ``False`` bounces a full queue as an
+        immediate ``overloaded`` envelope.
         """
         if self.pool is not None:
-            return self.pool.submit(request, block=block, deadline_ms=deadline_ms)
+            return self.pool.submit(request, block=block)
         scope = self.gate.read() if self.gate is not None else nullcontext()
         with scope:
             return PoolFuture.resolved(self.service.handle(request))
 
-    def handle_line(
-        self,
-        line: str,
-        block: bool = True,
-        deadline_ms: float | None = None,
-    ) -> PoolFuture | None:
+    def handle_line(self, line: str) -> PoolFuture | None:
         """One JSON-lines request: ``None`` for blank lines, else a future.
 
         The ``bad_json`` message format is pinned by the stdin
@@ -89,27 +77,7 @@ class RequestHandler:
             return PoolFuture.resolved(
                 error_envelope("bad_json", f"malformed JSON: {exc}")
             )
-        return self.dispatch(request, block=block, deadline_ms=deadline_ms)
-
-    def handle_payload(
-        self,
-        payload: bytes,
-        block: bool = False,
-        deadline_ms: float | None = None,
-    ) -> PoolFuture:
-        """One framed request payload (the TCP path's entry).
-
-        A malformed payload resolves to the same ``bad_json`` envelope
-        the stdin path produces — connection-level failures normalise
-        into the one pinned error enumeration.
-        """
-        try:
-            request = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            return PoolFuture.resolved(
-                error_envelope("bad_json", f"malformed JSON: {exc}")
-            )
-        return self.dispatch(request, block=block, deadline_ms=deadline_ms)
+        return self.dispatch(request)
 
 
 def serve_stdin(handler: RequestHandler, stdin: IO[str], out: IO[str]) -> int:

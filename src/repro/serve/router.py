@@ -588,7 +588,6 @@ class ShardRouter:
                 "watermark": ingest.get("watermark_seq"),
                 "lag_events": ingest.get("lag_events"),
                 "freshness_lag_seconds": ingest.get("freshness_lag_seconds"),
-                "pool": result.get("pool"),
             }
             shards[str(shard_id)] = entry
             per_shard_watermark[str(shard_id)] = entry["watermark"]
@@ -602,12 +601,8 @@ class ShardRouter:
         fleet_watermark = (
             min(known) if len(known) == len(per_shard_watermark) else None
         )
-        if any(s == "unreachable" for s in statuses):
+        if any(s in ("unreachable", "degraded") for s in statuses):
             status = "degraded"
-        elif any(s == "degraded" for s in statuses):
-            status = "degraded"
-        elif any(s == "saturated" for s in statuses):
-            status = "saturated"
         else:
             status = "ok"
         frontend: dict[str, Any] = {}
@@ -715,20 +710,6 @@ class ShardRouter:
             up = bool(status.get("up"))
             flat: dict[str, float] = {"up": 1.0 if up else 0.0}
             if up:
-                pool = status.get("pool") or {}
-                for name in (
-                    "queue_depth",
-                    "queue_peak",
-                    "in_flight",
-                    "accepted",
-                    "rejected",
-                    "deadline_exceeded",
-                    "completed",
-                    "workers",
-                ):
-                    value = pool.get(name)
-                    if isinstance(value, (int, float)):
-                        flat[name] = float(value)
                 ingest = status.get("ingest") or {}
                 for name in (
                     "watermark_seq",

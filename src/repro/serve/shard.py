@@ -1,11 +1,19 @@
 """One fleet shard: a worker process serving its slice of the fleet.
 
 A shard owns the ships the consistent-hash ring assigns it and nothing
-else: its own filtered dataset, its own feature tensors, its own
-:class:`~repro.core.server.ServicePool`, and — when ingestion is
-enabled — its own per-shard WAL and watermark.  The process boundary is
-what buys multi-core scaling: each shard runs the estimator under its
-own GIL.
+else: its own filtered dataset, its own feature tensors, and — when
+ingestion is enabled — its own per-shard WAL and watermark.  The process
+boundary is what buys multi-core scaling: each shard runs the estimator
+under its own GIL.
+
+**Execution.**  A request runs on the connection thread that read it,
+under the read side of the shard's gate and one per-shard lock, so one
+request executes at a time (two would only contend for the GIL).  The
+wire ``deadline_ms`` becomes the request's ambient
+:class:`~repro.runtime.concurrency.Deadline`; a request whose budget is
+spent before it gets the lock is answered ``deadline_exceeded`` without
+executing.  Overload is decided once, at the front door
+(``--max-inflight``); the shard keeps no queue of its own.
 
 :class:`ShardServer` is the in-process serving half (a threaded
 length-prefixed frame server — usable directly in tests without
@@ -28,7 +36,7 @@ Shard-level request types (beyond the :class:`DomdService` surface):
 
 * ``{"type": "ingest", "events": [...]}`` — validate, WAL append
   (fsync = ack), then apply + delta refresh under the write gate.
-* ``{"type": "shard_status"}`` — shard id, watermark, pool and ingest
+* ``{"type": "shard_status"}`` — shard id, watermark, server and ingest
   gauges (the router's scatter source for ``repro_shard_*`` series).
 * ``{"type": "shutdown"}`` — graceful drain: stop accepting, finish
   in-flight work, ack, exit.
@@ -43,9 +51,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.server import ServicePool
+from repro.core.server import rejection_envelope
 from repro.core.service import DomdService, error_envelope
 from repro.errors import ReproError
+from repro.runtime import Deadline, ambient_scope
 from repro.serve.framing import (
     MAX_FRAME_BYTES,
     FrameProtocolError,
@@ -54,7 +63,6 @@ from repro.serve.framing import (
     recv_frame,
     send_frame,
 )
-from repro.serve.handler import RequestHandler
 from repro.serve.partition import shard_dataset
 from repro.serve.ring import DEFAULT_VNODES, ConsistentHashRing
 
@@ -80,10 +88,11 @@ class ShardServer:
     ----------
     shard_id:
         This shard's identity on the ring.
-    handler:
-        The transport-agnostic dispatch core (pooled).
+    service:
+        The :class:`DomdService` answering this shard's slice.
     gate:
-        The shard's read/write gate (ingest takes the write side).
+        The shard's read/write gate (requests take the read side,
+        ingest the write side).
     ingestor / wal:
         The shard's live ingestion pair; ``None`` disables ``ingest``.
     """
@@ -91,7 +100,7 @@ class ShardServer:
     def __init__(
         self,
         shard_id: int,
-        handler: RequestHandler,
+        service: DomdService,
         gate: Any,
         ingestor: Any | None = None,
         wal: Any | None = None,
@@ -100,9 +109,7 @@ class ShardServer:
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ):
         self.shard_id = int(shard_id)
-        self.handler = handler
-        self.service: DomdService = handler.service
-        self.pool: ServicePool | None = handler.pool
+        self.service = service
         self.gate = gate
         self.ingestor = ingestor
         self.wal = wal
@@ -113,6 +120,7 @@ class ShardServer:
         self._accept_thread: threading.Thread | None = None
         self._stopped = threading.Event()
         self._ingest_lock = threading.Lock()
+        self._execute_lock = threading.Lock()
         self._conn_lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._active_requests = 0
@@ -122,6 +130,7 @@ class ShardServer:
             "disconnects_mid_request": 0,
             "oversize_frames": 0,
             "protocol_errors": 0,
+            "deadline_exceeded": 0,
         }
         if ingestor is not None:
             # Avails this shard owns — ingest validates ownership up
@@ -265,6 +274,7 @@ class ShardServer:
     # dispatch
     # ------------------------------------------------------------------
     def _respond(self, request: Any) -> tuple[dict[str, Any], bool]:
+        budget = None
         if isinstance(request, dict):
             request_type = request.get("type")
             if request_type == "ingest":
@@ -282,14 +292,28 @@ class ShardServer:
             budget, budget_error = _wire_deadline(request)
             if budget_error is not None:
                 return error_envelope("bad_request", budget_error), False
-            response = self.handler.dispatch(
-                request, block=False, deadline_ms=budget
-            ).result()
-        else:
-            response = self.handler.dispatch(request).result()
-        if isinstance(response, dict):
-            response.setdefault("shard_id", self.shard_id)
+        response = self._execute(request, budget)
+        response.setdefault("shard_id", self.shard_id)
         return response, False
+
+    def _execute(self, request: Any, budget_ms: float | None) -> dict[str, Any]:
+        """Run one request on this thread, one request at a time."""
+        deadline = Deadline.after_ms(budget_ms) if budget_ms is not None else None
+        with self.gate.read(), ambient_scope(deadline=deadline):
+            with self._execute_lock:
+                if deadline is not None and deadline.expired():
+                    response = rejection_envelope(
+                        self.service,
+                        "deadline_exceeded",
+                        f"deadline of {budget_ms:g} ms expired while the"
+                        f" request waited for shard {self.shard_id}",
+                    )
+                else:
+                    response = self.service.handle(request)
+        if response.get("error", {}).get("code") == "deadline_exceeded":
+            with self._conn_lock:
+                self._counters["deadline_exceeded"] += 1
+        return response
 
     def _handle_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
         from repro.errors import SchemaError
@@ -383,7 +407,6 @@ class ShardServer:
             "shard_id": self.shard_id,
             "up": True,
             "server": counters,
-            "pool": self.pool.status() if self.pool is not None else None,
         }
         if self.ingestor is not None:
             result["watermark"] = self.ingestor.watermark
@@ -405,7 +428,6 @@ class ShardRuntime:
     """Everything one shard process owns, with ordered teardown."""
 
     server: ShardServer
-    pool: ServicePool
     service: DomdService
     ingestor: Any | None
     wal: Any | None
@@ -413,30 +435,8 @@ class ShardRuntime:
 
     def close(self) -> None:
         self.server.stop(drain=True)
-        self.pool.close(drain=True)
         if self.wal is not None:
             self.wal.close()
-
-
-class IoStalledDomdService(DomdService):
-    """A :class:`DomdService` stalling a fixed emulated backend I/O wait
-    before each request.
-
-    Bench/smoke aid (spec key ``io_stall_ms``), mirroring the pool
-    throughput bench's ``IoStalledService``: on hosts with few cores a
-    CPU-bound workload cannot demonstrate shard scaling, but an
-    I/O-bound one overlaps across shard processes regardless of core
-    count — which is exactly the regime sharding buys headroom in.
-    Never enabled by production assembly paths.
-    """
-
-    def __init__(self, estimator: Any, stall_s: float, context: Any = None):
-        super().__init__(estimator, context=context)
-        self.stall_s = float(stall_s)
-
-    def handle(self, request: Any, parent: Any = None) -> dict[str, Any]:
-        time.sleep(self.stall_s)
-        return super().handle(request, parent=parent)
 
 
 def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
@@ -444,9 +444,8 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
 
     Spec keys: ``shard_id``, ``shard_ids``, ``vnodes``, ``model``,
     ``data``, optional ``wal_path``/``designs`` (live ingestion),
-    ``workers``, ``queue_depth``, ``host``, ``port``, optional
-    ``events_path`` (JSONL telemetry sink), optional ``io_stall_ms``
-    (emulated backend I/O per request — bench/smoke only).
+    ``host``, ``port``, ``max_frame_bytes``, optional ``events_path``
+    (JSONL telemetry sink).
     """
     from repro.data import load_dataset
     from repro.persistence import load_estimator
@@ -462,13 +461,7 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     full = load_dataset(spec["data"])
     slice_ = shard_dataset(full, ring, int(spec["shard_id"]))
     estimator = load_estimator(spec["model"], slice_, context=context)
-    stall_ms = spec.get("io_stall_ms")
-    if stall_ms:
-        service: DomdService = IoStalledDomdService(
-            estimator, stall_s=float(stall_ms) / 1000.0
-        )
-    else:
-        service = DomdService(estimator)
+    service = DomdService(estimator)
     gate = ReadWriteGate()
 
     ingestor = None
@@ -494,17 +487,9 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
             f"{ingestor.watermark} != WAL end {wal.last_seq}"
         )
 
-    pool = ServicePool(
-        service,
-        workers=int(spec.get("workers", 1)),
-        queue_depth=int(spec.get("queue_depth", 16)),
-        deadline_ms=spec.get("deadline_ms"),
-        gate=gate,
-    )
-    handler = RequestHandler(service, pool=pool)
     server = ShardServer(
         shard_id=int(spec["shard_id"]),
-        handler=handler,
+        service=service,
         gate=gate,
         ingestor=ingestor,
         wal=wal,
@@ -514,7 +499,6 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     )
     return ShardRuntime(
         server=server,
-        pool=pool,
         service=service,
         ingestor=ingestor,
         wal=wal,

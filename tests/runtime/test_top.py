@@ -147,6 +147,23 @@ class TestRender:
         text = render_top(top_snapshot(events))
         assert "[healthy]" in text
 
+    def test_shard_rows_show_server_counters(self):
+        sample = {
+            "ts": 100.0,
+            "kind": "sample",
+            "metrics": {
+                "shard.0.up": 1.0,
+                "shard.0.active_requests": 2.0,
+                "shard.0.requests": 57.0,
+                "shard.0.watermark_seq": 3.0,
+                "shard.1.up": 0.0,
+                "shard.fleet.watermark": 3.0,
+            },
+        }
+        text = render_top(top_snapshot([sample]))
+        assert "shard 0    up    active=2 requests=57 watermark=3" in text
+        assert "shard 1    DOWN  active=- requests=-" in text
+
 
 class TestCli:
     def test_top_once_json(self, tmp_path, capsys):

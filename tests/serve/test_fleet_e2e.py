@@ -9,8 +9,11 @@ continuity and bitwise estimate parity across the kill.
 
 from __future__ import annotations
 
+import threading
+import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.serve.client import FrameClient
@@ -48,8 +51,6 @@ def live_fleet(serve_env, tmp_path_factory):
         serve_env.data_dir,
         shards=2,
         wal_dir=str(wal_dir),
-        workers_per_shard=1,
-        queue_depth=8,
         start_timeout=300.0,
     )
     port = fleet.start()
@@ -197,3 +198,53 @@ class TestKillRestartDurability:
     def test_restart_counter_recorded(self, live_fleet):
         assert live_fleet.fleet.supervisor.restarts_of(1) == 1
         assert live_fleet.fleet.supervisor.restarts_of(0) == 0
+
+
+class TestSaturation:
+    def test_saturation_stays_bounded(self, serve_env):
+        """A burst past the front door's dispatch slots gets immediate,
+        retryable ``overloaded`` envelopes; nothing queues unboundedly."""
+        fleet = FleetService(
+            serve_env.model_path,
+            serve_env.data_dir,
+            shards=1,
+            max_inflight=4,
+            start_timeout=300.0,
+        )
+        port = fleet.start()
+        request = {
+            "type": "domd_query",
+            "avail_ids": serve_env.avail_ids[:6],
+            "t_star": 40.0,
+        }
+        answers: list[tuple[dict, float]] = []
+        lock = threading.Lock()
+
+        def client_loop() -> None:
+            with FrameClient("127.0.0.1", port, timeout=30.0) as client:
+                for _ in range(3):
+                    tic = time.perf_counter()
+                    response = client.request(request)
+                    with lock:
+                        answers.append((response, time.perf_counter() - tic))
+
+        try:
+            threads = [threading.Thread(target=client_loop) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            fleet.stop(drain=False)
+        assert len(answers) == 48
+        errors = [r["error"] for r, _ in answers if not r.get("ok")]
+        assert all(e["code"] == "overloaded" and e["retryable"] for e in errors), (
+            errors[:2]
+        )
+        assert errors, "burst never saturated the 4-slot front door"
+        p99 = float(np.percentile([latency for _, latency in answers], 99))
+        assert p99 < 2.0, (
+            f"p99 {p99:.2f}s at saturation — backpressure is queueing, not"
+            " shedding"
+        )

@@ -189,3 +189,18 @@ class TestConnectionFailureNormalization:
             assert time.monotonic() < deadline, "disconnect never counted"
             time.sleep(0.01)
         assert frontend.status()["disconnects_mid_request"] == 1
+
+
+class TestStop:
+    def test_stop_with_open_connection_logs_nothing(self, capfd, caplog):
+        """Stopping with a client still connected ends its handler on
+        EOF; asyncio teardown has nothing to cancel, so no traceback."""
+        front = FleetFrontend(_echo)
+        front.start()
+        with socket.create_connection(("127.0.0.1", front.port), timeout=10.0) as conn:
+            send_frame(conn, {"type": "echo"})
+            assert recv_frame(conn)["ok"]  # the handler is mid-connection
+            front.stop(drain=False)
+            assert recv_frame(conn) is None  # closed by the server
+        assert capfd.readouterr().err == ""
+        assert [r for r in caplog.records if r.name == "asyncio"] == []

@@ -160,18 +160,3 @@ class TestPooledDispatch:
             assert rejected and all(e["error"]["retryable"] for e in rejected)
         finally:
             pool.close(drain=True)
-
-
-class TestFramedPayloads:
-    def test_handle_payload_bad_json_matches_stdin_envelope(self, serve_env):
-        handler = RequestHandler(DomdService(serve_env.estimator))
-        envelope = handler.handle_payload(b"\xff\xfe not json").result()
-        assert envelope["error"]["code"] == "bad_json"
-        assert envelope["error"]["message"].startswith("malformed JSON: ")
-
-    def test_handle_payload_dispatches(self, serve_env):
-        handler = RequestHandler(DomdService(serve_env.estimator))
-        envelope = handler.handle_payload(
-            json.dumps({"type": "health"}).encode()
-        ).result()
-        assert envelope["ok"]

@@ -8,8 +8,9 @@ from __future__ import annotations
 import pytest
 
 from repro.data import load_dataset
-from repro.runtime import ExecutionContext
+from repro.runtime import ExecutionContext, current_deadline
 from repro.serve.client import FrameClient
+from repro.serve.frontend import FleetFrontend
 from repro.serve.partition import ships_of_shard
 from repro.serve.ring import ConsistentHashRing
 from repro.serve.router import RoutingTable, ShardRouter
@@ -40,8 +41,6 @@ def fleet(serve_env, tmp_path):
             "model": serve_env.model_path,
             "data": serve_env.data_dir,
             "wal_path": str(tmp_path / f"shard-{shard_id}.wal"),
-            "workers": 1,
-            "queue_depth": 8,
         }
         for shard_id in ring.shard_ids
     }
@@ -79,7 +78,6 @@ def fleet(serve_env, tmp_path):
     router.close()
     for runtime in runtimes.values():
         runtime.server.stop(drain=False)
-        runtime.pool.close(drain=False)
         if runtime.wal is not None:
             runtime.wal.close()
 
@@ -197,7 +195,6 @@ class TestHealth:
             assert "shard:1:lagging" not in alerts.firing()
         finally:
             runtime.server.stop(drain=False)
-            runtime.pool.close(drain=False)
             if runtime.wal is not None:
                 runtime.wal.close()
 
@@ -308,9 +305,14 @@ class TestGauges:
         for shard_id in ("0", "1"):
             flat = gauges[shard_id]
             assert flat["up"] == 1.0
-            assert {"workers", "completed", "watermark_seq", "lag_events"} <= set(
-                flat
-            )
+            assert {
+                "requests",
+                "active_requests",
+                "deadline_exceeded",
+                "watermark_seq",
+                "lag_events",
+            } <= set(flat)
+            assert not {"workers", "queue_depth", "completed"} & set(flat)
             assert all(isinstance(v, float) for v in flat.values())
         assert gauges["fleet"] == {"watermark": 0.0}
 
@@ -320,3 +322,37 @@ class TestGauges:
         assert gauges["1"] == {"up": 0.0}
         assert gauges["0"]["up"] == 1.0
         assert "shard:1:lagging" in fleet.context.telemetry.alerts.firing()
+
+
+class TestFrontDoorDeadline:
+    def test_default_deadline_rides_the_wire_to_the_shard(self, fleet):
+        """``--deadline-ms`` (the front door's default) reaches the
+        executing shard for a request without ``deadline_ms``; a request
+        with its own keeps it."""
+        service = fleet.runtimes[0].service
+        handle = service.handle
+        budgets = []
+
+        def spy(request, *args, **kwargs):
+            deadline = current_deadline()
+            budgets.append(
+                None if deadline is None else deadline.budget_seconds * 1000
+            )
+            return handle(request, *args, **kwargs)
+
+        service.handle = spy
+        front = FleetFrontend(fleet.router.dispatch, deadline_ms=20_000)
+        port = front.start()
+        try:
+            with FrameClient("127.0.0.1", port, timeout=30.0) as client:
+                query = {
+                    "type": "domd_query",
+                    "avail_ids": fleet.owned[0][:1],
+                    "t_star": 30.0,
+                }
+                assert client.request(query)["ok"]
+                assert client.request({**query, "deadline_ms": 7_000})["ok"]
+        finally:
+            front.stop()
+            del service.handle
+        assert budgets == [20_000, 7_000]

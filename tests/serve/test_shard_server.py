@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
+import threading
 
 import pytest
 
-from repro.core.server import ServicePool
 from repro.core.service import DomdService
 from repro.data import load_dataset
 from repro.persistence import load_estimator
@@ -22,7 +23,6 @@ from repro.runtime import ExecutionContext
 from repro.runtime.concurrency import ReadWriteGate
 from repro.serve.client import FrameClient
 from repro.serve.framing import encode_frame, recv_frame, send_frame
-from repro.serve.handler import RequestHandler
 from repro.serve.partition import shard_dataset, ships_of_shard
 from repro.serve.ring import ConsistentHashRing
 from repro.serve.shard import ShardServer, build_shard_runtime
@@ -46,17 +46,15 @@ def static_shard(serve_env):
     context = ExecutionContext()
     slice_ = shard_dataset(load_dataset(serve_env.data_dir), RING, 0)
     service = DomdService(load_estimator(serve_env.model_path, slice_, context=context))
-    pool = ServicePool(service, workers=1, queue_depth=8, gate=ReadWriteGate())
     server = ShardServer(
         shard_id=0,
-        handler=RequestHandler(service, pool=pool),
-        gate=pool.gate,
+        service=service,
+        gate=ReadWriteGate(),
         max_frame_bytes=64 * 1024,
     )
     server.start()
     yield server
     server.stop(drain=False)
-    pool.close(drain=False)
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +68,11 @@ def wal_shard(serve_env, tmp_path_factory):
             "model": serve_env.model_path,
             "data": serve_env.data_dir,
             "wal_path": str(wal_dir / "shard-0.wal"),
-            "workers": 1,
-            "queue_depth": 8,
         }
     )
     runtime.server.start()
     yield runtime
     runtime.server.stop(drain=False)
-    runtime.pool.close(drain=False)
     if runtime.wal is not None:
         runtime.wal.close()
 
@@ -127,14 +122,130 @@ class TestDispatch:
         result = response["result"]
         assert result["shard_id"] == 0 and result["up"] is True
         assert result["watermark"] is None  # static snapshot
-        assert {"connections", "requests"} <= set(result["server"])
-        assert {"queue_depth", "workers", "completed"} <= set(result["pool"])
+        assert {
+            "connections",
+            "requests",
+            "active_requests",
+            "deadline_exceeded",
+        } <= set(result["server"])
+        assert "pool" not in result
 
     def test_ingest_without_wal_is_bad_request(self, static_shard):
         with _client(static_shard) as client:
             response = client.request({"type": "ingest", "events": []})
         assert response["error"]["code"] == "bad_request"
         assert "static snapshot" in response["error"]["message"]
+
+
+class TestDeadlineAtTheShardLock:
+    def test_budget_spent_waiting_for_the_lock_is_not_executed(
+        self, serve_env, static_shard
+    ):
+        """A request whose wire budget runs out while another holds the
+        shard lock is answered ``deadline_exceeded`` without executing."""
+        service = static_shard.service
+        handled = []
+        handle = service.handle
+
+        def spy(request, *args, **kwargs):
+            handled.append(request)
+            return handle(request, *args, **kwargs)
+
+        owned = _owned_avails(serve_env.dataset, 0)[:1]
+        before = static_shard._counters["deadline_exceeded"]
+        service.handle = spy
+        try:
+            with _client(static_shard) as client:
+                # Another request is executing: the lock is taken.
+                with static_shard._execute_lock:
+                    answer: dict = {}
+                    sender = threading.Thread(
+                        target=lambda: answer.update(
+                            client.request(
+                                {
+                                    "type": "domd_query",
+                                    "avail_ids": owned,
+                                    "t_star": 30.0,
+                                    "deadline_ms": 50,
+                                }
+                            )
+                        )
+                    )
+                    sender.start()
+                    sender.join(timeout=0.3)
+                    assert sender.is_alive()  # waiting for the lock
+                sender.join(timeout=10.0)
+                assert not sender.is_alive()
+                status = client.request({"type": "shard_status"})
+        finally:
+            del service.handle
+        assert handled == []
+        assert answer["ok"] is False
+        assert answer["error"]["code"] == "deadline_exceeded"
+        assert answer["error"]["retryable"] is True
+        assert answer["shard_id"] == 0
+        # The envelope the pool's rejection uses: a top-level trace id
+        # matching one emitted error event.
+        matching = [
+            e
+            for e in service.context.telemetry.events()
+            if e["kind"] == "error"
+            and e["trace_id"] == answer["trace_id"]
+            and e["code"] == "deadline_exceeded"
+        ]
+        assert len(matching) == 1
+        assert status["result"]["server"]["deadline_exceeded"] == before + 1
+
+
+class TestOneRequestAtATime:
+    def test_concurrent_connections_execute_serially(
+        self, serve_env, static_shard
+    ):
+        """Requests from many connections run one at a time under the
+        shard lock, and every one of them is answered and counted."""
+        service = static_shard.service
+        handle = service.handle
+        guard = threading.Lock()
+        state = {"running": 0, "peak": 0, "calls": 0}
+
+        def spy(request, *args, **kwargs):
+            with guard:
+                state["running"] += 1
+                state["calls"] += 1
+                state["peak"] = max(state["peak"], state["running"])
+            try:
+                return handle(request, *args, **kwargs)
+            finally:
+                with guard:
+                    state["running"] -= 1
+
+        owned = _owned_avails(serve_env.dataset, 0)[:2]
+        query = {"type": "domd_query", "avail_ids": owned, "t_star": 30.0}
+        answers: list[dict] = []
+
+        def client_loop() -> None:
+            with _client(static_shard) as client:
+                for _ in range(5):
+                    answers.append(client.request(dict(query)))
+
+        before = static_shard._counters["requests"]
+        interval = sys.getswitchinterval()
+        service.handle = spy
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client_loop) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            del service.handle
+        assert state == {"running": 0, "peak": 1, "calls": 30}
+        assert static_shard._counters["requests"] - before == 30
+        assert len(answers) == 30
+        assert all(a["result"] == answers[0]["result"] for a in answers)
 
 
 class TestConnectionFailureNormalization:
@@ -263,8 +374,6 @@ class TestIngestDurability:
             "model": serve_env.model_path,
             "data": serve_env.data_dir,
             "wal_path": str(tmp_path / "shard-0.wal"),
-            "workers": 1,
-            "queue_depth": 8,
         }
         avail_id = _owned_avails(serve_env.dataset, 0)[0]
 
@@ -304,7 +413,6 @@ class TestIngestDurability:
                 live = client.request(probe)
         finally:
             runtime.server.stop(drain=False)
-            runtime.pool.close(drain=False)
             runtime.wal.close()
         assert live["ok"], live
         assert live["provenance"]["feature_key"].endswith("@2")
@@ -317,7 +425,6 @@ class TestIngestDurability:
                 again = client.request(probe)
         finally:
             restarted.server.stop(drain=False)
-            restarted.pool.close(drain=False)
             restarted.wal.close()
         assert again["result"] == live["result"]
         assert again["provenance"]["feature_key"] == live["provenance"]["feature_key"]
@@ -338,10 +445,7 @@ class TestShutdown:
         service = DomdService(
             load_estimator(serve_env.model_path, slice_, context=context)
         )
-        pool = ServicePool(service, workers=1, queue_depth=4, gate=ReadWriteGate())
-        server = ShardServer(
-            shard_id=1, handler=RequestHandler(service, pool=pool), gate=pool.gate
-        )
+        server = ShardServer(shard_id=1, service=service, gate=ReadWriteGate())
         server.start()
         try:
             with FrameClient("127.0.0.1", server.port) as client:
@@ -350,4 +454,3 @@ class TestShutdown:
             assert server.wait_stopped(timeout=5.0)
         finally:
             server.stop(drain=False)
-            pool.close(drain=False)
