@@ -170,7 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "action",
         choices=["append", "replay"],
-        help="'append': write events from a stream file into a WAL; "
+        help="'append': validate events from a stream file against the "
+        "state the WAL leads to, then write them into the WAL; "
         "'replay': rebuild state from a WAL (optionally from a snapshot)",
     )
     ingest.add_argument("--wal", required=True, help="WAL file path")
@@ -179,10 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--stream",
-        help="stream file whose header bootstraps the store (replay action)",
+        help="stream file whose header bootstraps the store (append "
+        "validates against it; default: the --events file's header)",
     )
     ingest.add_argument(
-        "--data", help="dataset directory bootstrapping the store (replay)"
+        "--data", help="dataset directory bootstrapping the store"
     )
     ingest.add_argument(
         "--restore",
@@ -525,19 +527,66 @@ def _cmd_generate(args, out: IO[str]) -> int:
     return 0
 
 
-def _cmd_ingest(args, out: IO[str], context: ExecutionContext) -> int:
-    from repro.stream import (
-        StreamIngestor,
-        StreamingRccStore,
-        WalWriter,
-        read_event_stream,
+def _bootstrap_ingestor(
+    args, context: ExecutionContext, header: dict | None = None
+):
+    """The state ``ingest`` starts from: ``--restore``, ``--stream`` or
+    ``--data``, else ``header`` (an events file's ``stream_header``)."""
+    from repro.stream import StreamIngestor, StreamingRccStore, read_event_stream
+
+    sources = [bool(args.stream), bool(args.data), bool(args.restore)]
+    if sum(sources) > 1:
+        raise ReproError(
+            f"ingest {args.action} takes at most one of --stream / --data / --restore"
+        )
+    designs = args.design if args.design else None
+    if args.restore:
+        from repro.persistence import load_stream_snapshot
+
+        return load_stream_snapshot(args.restore, context=context, designs=designs)
+    if args.stream:
+        header, _ = read_event_stream(args.stream)
+        if header is None:
+            raise ReproError(
+                f"stream file {args.stream!r} has no stream_header line"
+            )
+    if args.data:
+        store = StreamingRccStore.from_dataset(load_dataset(args.data))
+    elif header is not None:
+        store = StreamingRccStore.from_header(header)
+    else:
+        hint = "--stream, --data or --restore"
+        if args.action == "append":
+            hint += ", or a stream_header line in --events"
+        raise ReproError(f"ingest {args.action} needs a bootstrap source: {hint}")
+    return StreamIngestor(
+        store, designs=designs if designs else ("avl",), context=context
     )
+
+
+def _cmd_ingest(args, out: IO[str], context: ExecutionContext) -> int:
+    from repro.stream import WalWriter, read_event_stream, read_wal
 
     if args.action == "append":
         if not args.events:
             raise ReproError("ingest append requires --events <stream file>")
-        _, events = read_event_stream(args.events)
-        batches = 0
+        header, events = read_event_stream(args.events)
+        batches = [
+            events[lo : lo + args.batch_size]
+            for lo in range(0, len(events), args.batch_size)
+        ]
+        # Validate against the state the WAL already leads to before
+        # writing anything: a record the store rejects would fail every
+        # later replay and every follower poll.  The dry run touches the
+        # store only, under a private context that logs nothing.
+        state = _bootstrap_ingestor(args, ExecutionContext(), header)
+        store = state.store
+        for record in read_wal(args.wal, after_seq=state.watermark).records:
+            store.apply(record.event)
+        for batch in batches:
+            store.validate(batch)
+            for event in batch:
+                store.apply(event)
         # One append trace per CLI invocation: every WAL record written
         # here carries this trace's context (tp), so a later serving
         # process can walk a response all the way back to this command.
@@ -548,16 +597,15 @@ def _cmd_ingest(args, out: IO[str], context: ExecutionContext) -> int:
                 telemetry=context.telemetry,
             ) as writer:
                 first_seq = writer.next_seq
-                for lo in range(0, len(events), args.batch_size):
+                for batch in batches:
                     with context.span("ingest.append_batch"):
-                        writer.append_batch(events[lo : lo + args.batch_size])
-                    batches += 1
+                        writer.append_batch(batch)
                 last_seq = writer.last_seq
         print(
             json.dumps(
                 {
                     "appended": len(events),
-                    "batches": batches,
+                    "batches": len(batches),
                     "first_seq": first_seq,
                     "last_seq": last_seq,
                     "wal": args.wal,
@@ -568,33 +616,7 @@ def _cmd_ingest(args, out: IO[str], context: ExecutionContext) -> int:
         return 0
 
     # replay: bootstrap a store, then apply the WAL tail.
-    sources = [bool(args.stream), bool(args.data), bool(args.restore)]
-    if sum(sources) > 1:
-        raise ReproError(
-            "ingest replay takes at most one of --stream / --data / --restore"
-        )
-    designs = args.design if args.design else None
-    if args.restore:
-        from repro.persistence import load_stream_snapshot
-
-        ingestor = load_stream_snapshot(args.restore, context=context, designs=designs)
-    else:
-        if args.stream:
-            header, _ = read_event_stream(args.stream)
-            if header is None:
-                raise ReproError(
-                    f"stream file {args.stream!r} has no stream_header line"
-                )
-            store = StreamingRccStore.from_header(header)
-        elif args.data:
-            store = StreamingRccStore.from_dataset(load_dataset(args.data))
-        else:
-            raise ReproError(
-                "ingest replay needs a bootstrap source: --stream, --data or --restore"
-            )
-        ingestor = StreamIngestor(
-            store, designs=designs if designs else ("avl",), context=context
-        )
+    ingestor = _bootstrap_ingestor(args, context)
     replayed = ingestor.replay(args.wal, batch_size=args.batch_size)
     summary = {"replay": replayed, "status": ingestor.status()}
     if args.snapshot_out:
@@ -731,9 +753,7 @@ def _cmd_serve(args, out: IO[str], stdin: IO[str], context: ExecutionContext) ->
             ingestor,
             args.follow,
             gate=gate,
-            on_batch=lambda ing: service.rebind(
-                ing.dataset(), touched=ing.take_touched()
-            ),
+            on_batch=lambda ing: service.rebind(ing.take_touched()),
             poll_interval=max(getattr(args, "follow_poll_ms", 200.0), 1.0) / 1000.0,
         )
         follower.start()

@@ -74,7 +74,7 @@ class ConformalDomdEstimator:
             raise ConfigurationError("calibration avails must be closed")
         rows = estimator._tensor.rows_for(calibration_ids)
         fused = estimator._model_set.predict_fused(
-            estimator._X_static[rows], estimator._tensor.values[rows]
+            estimator._X_static[rows], estimator._tensor.gather(rows)
         )
         self._residuals_by_window = [
             np.abs(y - fused[:, ti]) for ti in range(fused.shape[1])

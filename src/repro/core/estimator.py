@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +24,9 @@ from repro.core import fusion
 from repro.core.config import PipelineConfig, paper_final_config
 from repro.core.timeline import LogicalTimeline
 from repro.core.timeline_models import TimelineModelSet
-from repro.data.schema import NavyMaintenanceDataset
+from repro.data.schema import LiveSnapshot, NavyMaintenanceDataset
 from repro.errors import ConfigurationError, NotFittedError
 from repro.features.static import static_features_for, static_vocab
-from repro.features.tensor import FeatureTensor
 from repro.features.transform import StatusFeatureExtractor, tensor_cache_key
 from repro.ml.metrics import metric_suite
 from repro.runtime import ExecutionContext, check_deadline, ensure_context
@@ -81,7 +79,9 @@ class DomdEstimator:
         self._tensor = None
         self._X_static = None
         self._avail_ids: np.ndarray | None = None
-        self._dataset: NavyMaintenanceDataset | None = None
+        #: The snapshot served; a live estimator (:meth:`advance`) holds
+        #: only its avail side.
+        self._dataset: NavyMaintenanceDataset | LiveSnapshot | None = None
         self._static_vocab: dict[str, dict[str, int]] | None = None
         self._features_pending = False
         self._bind_lock = threading.Lock()
@@ -274,33 +274,34 @@ class DomdEstimator:
         return served
 
     def advance(
-        self,
-        dataset: NavyMaintenanceDataset,
-        touched: Iterable[int],
-        watermark: int,
+        self, live: LiveSnapshot, changed: NavyMaintenanceDataset
     ) -> "DomdEstimator":
-        """Bind the fitted models to a live snapshot at WAL ``watermark``.
+        """Bind the fitted models to the live snapshot ``live``.
 
-        The live counterpart of :meth:`serve`: ``dataset`` differs from
-        this estimator's snapshot only in the ``touched`` avails.  When
-        this estimator's features are bound, the new estimator's are
-        bound eagerly: the extractor's sweep runs on the sub-snapshot of
-        the touched avails only, and their tensor and static rows are
-        spliced into copies of this estimator's.  Feature rows depend
-        only on their own avail, so the result is bitwise equal to a
-        whole-snapshot extraction, with no snapshot fingerprint and no
-        artifact-cache traffic.  Before any features were bound it stays
-        lazy, exactly like :meth:`serve`.
+        The live counterpart of :meth:`serve`.  ``changed`` is the
+        sub-snapshot, at ``live.watermark``, of the avails whose state
+        moved since this estimator's snapshot.  The extractor's sweep
+        runs on it alone, and the new estimator's feature tensor takes
+        those avails' rows from it while sharing every other row with
+        this estimator's; neither estimator's arrays are written.
+        Feature rows depend only on their own avail, so the result is
+        bitwise equal to a whole-snapshot extraction, with no snapshot
+        fingerprint and no artifact-cache traffic.
+
+        An estimator whose features are still unbound binds its own
+        snapshot first, so a live estimator is never lazy and the live
+        path never reads a whole RCC table.
         """
-        served = self.serve(dataset)
+        if self._features_pending:
+            self._materialize_features()
         boot_key = (
             self._live_key[0]
             if self._live_key is not None
             else self.provenance()["feature_key"]
         )
-        served._live_key = (boot_key, int(watermark))
-        if self._tensor_data is not None:
-            served._splice_features(self, dataset.for_avails(touched))
+        served = self.serve(live)
+        served._live_key = (boot_key, int(live.watermark))
+        served._splice_features(self, changed)
         return served
 
     def _splice_features(
@@ -317,17 +318,9 @@ class DomdEstimator:
             # would derive (old artefacts carry none).
             vocab = self._static_vocab or static_vocab(self._dataset.avails)
             X_part, _, _ = static_features_for(changed, vocab=vocab)
-            rows = tensor.rows_for(part.avail_ids)
-            values = tensor.values.copy()
-            values[rows] = part.values
-            tensor = FeatureTensor(
-                values=values,
-                avail_ids=tensor.avail_ids,
-                t_stars=tensor.t_stars,
-                feature_names=tensor.feature_names,
-            )
+            tensor = tensor.with_rows(part)
             X_static = X_static.copy()
-            X_static[rows] = X_part
+            X_static[tensor.rows_for(part.avail_ids)] = X_part
         self._tensor_data = tensor
         self._X_static_data = X_static
         self._static_names = previous._static_names
@@ -387,7 +380,7 @@ class DomdEstimator:
                 # deadline once per window model.
                 raw = self._model_set.predict_upto(
                     self._X_static[rows],
-                    self._tensor.values[rows],
+                    self._tensor.gather(rows),
                     last,
                     checkpoint="estimator.query",
                 )
@@ -433,18 +426,13 @@ class DomdEstimator:
         row = self._tensor.rows_for(np.array([int(avail_id)]))
         window_index = self.timeline.window_index(t_star)
         X_static = self._X_static[row]
-        X_dyn = self._tensor.values[row, window_index, :]
+        X_dyn = self._tensor.gather(row)[:, window_index, :]
         contributions, names = self._model_set.contributions_at(
             X_static, X_dyn, window_index
         )
         window = self._model_set.windows[window_index]
         design = self._model_set._design(
-            X_static,
-            X_dyn,
-            window.selected,
-            self._model_set._base_model.predict(X_static)
-            if self._model_set._base_model is not None
-            else None,
+            X_static, X_dyn, window.selected, self._model_set.base_predict(X_static)
         )
         per_feature = contributions[0, :-1]
         order = np.argsort(np.abs(per_feature))[::-1][:top]
@@ -481,7 +469,7 @@ class DomdEstimator:
         check_deadline("estimator.evaluate")
         with self.context.span("evaluate"):
             fused = self._model_set.predict_fused(
-                self._X_static[rows], self._tensor.values[rows]
+                self._X_static[rows], self._tensor.gather(rows)
             )
         telemetry = self.context.metrics.telemetry
         out: dict[str, dict[str, float]] = {}

@@ -73,6 +73,7 @@ def global_feature_report(
         avail_ids = estimator._tensor.avail_ids
     rows = estimator._tensor.rows_for(np.asarray(avail_ids, dtype=np.int64))
     X_static = estimator._X_static[rows]
+    dyn = estimator._tensor.gather(rows)
 
     importance_sums: dict[str, float] = defaultdict(float)
     windows_selected: dict[str, int] = defaultdict(int)
@@ -88,7 +89,7 @@ def global_feature_report(
             importance_sums[name] += float(value)
             windows_selected[name] += 1
         contribs, names = model_set.contributions_at(
-            X_static, estimator._tensor.values[rows, ti, :], ti
+            X_static, dyn[:, ti, :], ti
         )
         mean_abs = np.abs(contribs[:, :-1]).mean(axis=0)
         for name, value in zip(names, mean_abs):

@@ -77,6 +77,7 @@ import numpy as np
 
 from repro.core.estimator import DomdEstimator
 from repro.data.dates import iso_to_day
+from repro.data.schema import LiveSnapshot
 from repro.errors import DeadlineExceeded, ReproError
 from repro.runtime import (
     ExecutionContext,
@@ -432,16 +433,21 @@ class DomdService:
         return response
 
     # ------------------------------------------------------------------
-    def rebind(self, dataset: Any, touched: Iterable[int]) -> None:
-        """Point the service at the live ingestor's refreshed dataset.
+    def rebind(self, touched: Iterable[int]) -> None:
+        """Serve the live state of :attr:`ingest` at its watermark.
 
         ``touched`` are the avails the applied WAL records changed
-        (:meth:`~repro.stream.ingest.StreamIngestor.take_touched`);
+        (:meth:`~repro.stream.ingest.StreamIngestor.take_touched`).  The
+        store hands over their sub-snapshot and the avail table, and
         :meth:`DomdEstimator.advance` re-extracts only their feature
-        rows, at the watermark of :attr:`ingest`.  **Must be called
-        under the write side of the serving gate** so no in-flight
-        request observes the swap.
+        rows, so the cost grows with the touched avails, not with the
+        store.  **Must be called under the write side of the serving
+        gate** so no in-flight request observes the swap.
         """
-        self._estimator = self._estimator.advance(
-            dataset, touched, self.ingest.watermark
+        store = self.ingest.store
+        live = LiveSnapshot(
+            ships=store.ships,
+            avails=store.avails_table(),
+            watermark=self.ingest.watermark,
         )
+        self._estimator = self._estimator.advance(live, store.dataset_for(touched))

@@ -176,15 +176,28 @@ class TimelineModelSet:
         self._check_fitted()
         return self._windows
 
+    def base_predict(self, X_static: np.ndarray) -> np.ndarray | None:
+        """The stacked architecture's base prediction (None when flat)."""
+        if self._base_model is None:
+            return None
+        return self._base_model.predict(X_static)
+
     def predict_window(
-        self, X_static: np.ndarray, X_dyn: np.ndarray, window_index: int
+        self,
+        X_static: np.ndarray,
+        X_dyn: np.ndarray,
+        window_index: int,
+        base_pred: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Raw prediction of one window's model (no fusion)."""
+        """Raw prediction of one window's model (no fusion).
+
+        ``base_pred`` is :meth:`base_predict` of ``X_static`` when the
+        caller already has it; otherwise it is computed here.
+        """
         self._check_fitted()
         window = self._windows[window_index]
-        base_pred = (
-            self._base_model.predict(X_static) if self._base_model is not None else None
-        )
+        if base_pred is None:
+            base_pred = self.base_predict(X_static)
         design = self._design(X_static, X_dyn, window.selected, base_pred)
         return window.model.predict(design)
 
@@ -202,18 +215,24 @@ class TimelineModelSet:
         row that reaches it.  A row's prediction does not depend on the
         other rows of the call, so the result equals predicting the rows
         one at a time, bit for bit.  The ambient deadline is checked
-        (as ``checkpoint``) before each window.
+        (as ``checkpoint``) before each window.  A stacked set predicts
+        its base model once, over every row.
         """
         self._check_fitted()
         X_static = np.asarray(X_static, dtype=np.float64)
         dyn_tensor = np.asarray(dyn_tensor, dtype=np.float64)
         last_window = np.asarray(last_window, dtype=np.int64)
         out = np.full((len(X_static), len(self._windows)), np.nan)
+        stacked = self._base_model is not None
+        base_pred = None
         for ti in range(int(last_window.max(initial=-1)) + 1):
             check_deadline(checkpoint)
             rows = last_window >= ti
+            if stacked and base_pred is None:
+                base_pred = self.base_predict(X_static)
+            shared = {"base_pred": base_pred[rows]} if stacked else {}
             out[rows, ti] = self.predict_window(
-                X_static[rows], dyn_tensor[rows, ti, :], ti
+                X_static[rows], dyn_tensor[rows, ti, :], ti, **shared
             )
         return out
 
@@ -245,10 +264,9 @@ class TimelineModelSet:
         """
         self._check_fitted()
         window = self._windows[window_index]
-        base_pred = (
-            self._base_model.predict(X_static) if self._base_model is not None else None
+        design = self._design(
+            X_static, X_dyn, window.selected, self.base_predict(X_static)
         )
-        design = self._design(X_static, X_dyn, window.selected, base_pred)
         return (
             window.model.contributions(design),
             self._design_names(window.selected),

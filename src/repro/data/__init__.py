@@ -40,6 +40,7 @@ from repro.data.schema import (
     SHIP_COLUMNS,
     STATIC_FEATURES,
     Avail,
+    LiveSnapshot,
     NavyMaintenanceDataset,
     Rcc,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "Avail",
     "Rcc",
     "NavyMaintenanceDataset",
+    "LiveSnapshot",
     "DataSplits",
     "split_dataset",
 ]

@@ -134,6 +134,23 @@ class Rcc:
         return self.settle_date - self.create_date
 
 
+def avail_record(avails: ColumnTable, avail_id: int) -> Avail:
+    """One row of an avail table as a record object."""
+    rows = np.flatnonzero(avails["avail_id"] == avail_id)
+    if len(rows) == 0:
+        raise SchemaError(f"no avail with id {avail_id}")
+    row = avails.row(int(rows[0]))
+    return Avail(
+        avail_id=row["avail_id"],
+        ship_id=row["ship_id"],
+        status=row["status"],
+        plan_start=row["plan_start"],
+        plan_end=row["plan_end"],
+        act_start=row["act_start"],
+        act_end=row["act_end"],
+    )
+
+
 @dataclass
 class NavyMaintenanceDataset:
     """The full NMD snapshot: ship dimension + avail and RCC fact tables."""
@@ -205,38 +222,7 @@ class NavyMaintenanceDataset:
     # ------------------------------------------------------------------
     def avail(self, avail_id: int) -> Avail:
         """Fetch one avail as a record object."""
-        ids = self.avails["avail_id"]
-        rows = np.flatnonzero(ids == avail_id)
-        if len(rows) == 0:
-            raise SchemaError(f"no avail with id {avail_id}")
-        row = self.avails.row(int(rows[0]))
-        return Avail(
-            avail_id=row["avail_id"],
-            ship_id=row["ship_id"],
-            status=row["status"],
-            plan_start=row["plan_start"],
-            plan_end=row["plan_end"],
-            act_start=row["act_start"],
-            act_end=row["act_end"],
-        )
-
-    def for_avails(self, avail_ids) -> "NavyMaintenanceDataset":
-        """The sub-snapshot of these avails and their RCCs, rows in order.
-
-        Ships are kept whole; every other row keeps its relative order,
-        so per-avail computations over the sub-snapshot match the same
-        avails' results over the whole one.
-        """
-        ids = np.asarray(sorted(int(a) for a in avail_ids), dtype=np.int64)
-        avail_mask = np.isin(np.asarray(self.avails["avail_id"], dtype=np.int64), ids)
-        rcc_mask = np.isin(np.asarray(self.rccs["avail_id"], dtype=np.int64), ids)
-        return NavyMaintenanceDataset(
-            ships=self.ships,
-            avails=self.avails.filter(avail_mask),
-            rccs=self.rccs.filter(rcc_mask),
-            seed=self.seed,
-            scaling_factor=self.scaling_factor,
-        )
+        return avail_record(self.avails, avail_id)
 
     def rccs_of(self, avail_id: int) -> ColumnTable:
         """All RCC rows of one avail."""
@@ -275,3 +261,29 @@ class NavyMaintenanceDataset:
         """Delay (days) of closed avails, aligned with :meth:`closed_avails`."""
         closed = self.closed_avails()
         return np.asarray(closed["delay"], dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class LiveSnapshot:
+    """The ship and avail tables of a live snapshot at a WAL watermark.
+
+    What a live estimator serves from.  Its RCC table is not held: a
+    live refresh reads only the RCCs of the avails a batch touched.  So
+    :attr:`rccs` raises, naming where the whole snapshot at a watermark
+    comes from, rather than answering from a table at another one.
+    """
+
+    ships: ColumnTable
+    avails: ColumnTable
+    watermark: int
+
+    @property
+    def rccs(self) -> ColumnTable:
+        raise SchemaError(
+            f"the live snapshot at watermark {self.watermark} holds no RCC "
+            "table; read the whole snapshot with StreamIngestor.dataset()"
+        )
+
+    def avail(self, avail_id: int) -> Avail:
+        """Fetch one avail as a record object."""
+        return avail_record(self.avails, avail_id)

@@ -8,18 +8,30 @@ logical times t*."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
-@dataclass
-class FeatureTensor:
-    """Dense feature tensor with labelled axes.
+@functools.lru_cache(maxsize=8)
+def _positions_of(names: tuple[str, ...]) -> dict[str, int]:
+    """Name -> axis position, built once per distinct feature axis."""
+    return {name: i for i, name in enumerate(names)}
 
-    Attributes
+
+class FeatureTensor:
+    """Feature tensor with labelled axes, stored as one block per avail.
+
+    Row ``i`` is a ``(n_timestamps, n_features)`` float64 block holding
+    avail ``avail_ids[i]``'s features.  A tensor's blocks are never
+    written after construction, so :meth:`with_rows` can derive a new
+    tensor that replaces a few blocks and shares every other one — and
+    every axis label — with this one.  Readers take rows through
+    :meth:`gather`; :attr:`values` is the dense view model fitting uses.
+
+    Parameters
     ----------
     values:
         float64 array of shape ``(n_avails, n_timestamps, n_features)``.
@@ -31,36 +43,76 @@ class FeatureTensor:
         Feature names along axis 2.
     """
 
-    values: np.ndarray
-    avail_ids: np.ndarray
-    t_stars: np.ndarray
-    feature_names: list[str]
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.avail_ids = np.asarray(self.avail_ids, dtype=np.int64)
-        self.t_stars = np.asarray(self.t_stars, dtype=np.float64)
-        expected = (len(self.avail_ids), len(self.t_stars), len(self.feature_names))
-        if self.values.shape != expected:
+    def __init__(
+        self,
+        values: np.ndarray,
+        avail_ids: np.ndarray,
+        t_stars: np.ndarray,
+        feature_names: list[str],
+    ):
+        values = np.asarray(values, dtype=np.float64)
+        self.avail_ids = np.asarray(avail_ids, dtype=np.int64)
+        self.t_stars = np.asarray(t_stars, dtype=np.float64)
+        self.feature_names = feature_names
+        expected = (len(self.avail_ids), len(self.t_stars), len(feature_names))
+        if values.shape != expected:
             raise ConfigurationError(
-                f"tensor shape {self.values.shape} != labelled axes {expected}"
+                f"tensor shape {values.shape} != labelled axes {expected}"
             )
+        self._rows: tuple[np.ndarray, ...] = tuple(values)
+        self._dense: np.ndarray | None = values
         self._avail_pos = {int(a): i for i, a in enumerate(self.avail_ids)}
         self._t_pos = {float(t): i for i, t in enumerate(self.t_stars)}
-        self._feature_pos = {name: i for i, name in enumerate(self.feature_names)}
 
     # ------------------------------------------------------------------
     @property
     def n_avails(self) -> int:
-        return self.values.shape[0]
+        return len(self.avail_ids)
 
     @property
     def n_timestamps(self) -> int:
-        return self.values.shape[1]
+        return len(self.t_stars)
 
     @property
     def n_features(self) -> int:
-        return self.values.shape[2]
+        return len(self.feature_names)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense ``(n_avails, n_timestamps, n_features)`` array.
+
+        The array the tensor was built from; a tensor derived by
+        :meth:`with_rows` stacks its blocks on first use.
+        """
+        if self._dense is None:
+            self._dense = self.gather(np.arange(self.n_avails))
+        return self._dense
+
+    # ------------------------------------------------------------------
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The blocks at axis-0 positions ``rows``, stacked in order."""
+        if not len(rows):
+            return np.empty((0, self.n_timestamps, self.n_features))
+        return np.stack([self._rows[int(row)] for row in rows])
+
+    def with_rows(self, part: "FeatureTensor") -> "FeatureTensor":
+        """This tensor with ``part``'s avails' blocks taken from ``part``.
+
+        Every other block, and the axis labels, are shared with this
+        tensor; neither tensor's arrays are written.
+        """
+        if part.feature_names != self.feature_names or not np.array_equal(
+            part.t_stars, self.t_stars
+        ):
+            raise ConfigurationError("replacement rows have different axes")
+        rows = list(self._rows)
+        for row, block in zip(self.rows_for(part.avail_ids), part._rows):
+            rows[row] = block
+        derived = object.__new__(FeatureTensor)
+        derived.__dict__.update(self.__dict__)
+        derived._rows = tuple(rows)
+        derived._dense = None
+        return derived
 
     # ------------------------------------------------------------------
     def t_index(self, t_star: float) -> int:
@@ -93,9 +145,10 @@ class FeatureTensor:
 
     def feature_index(self, name: str) -> int:
         """Axis-2 index of a named feature."""
-        if name not in self._feature_pos:
+        position = _positions_of(tuple(self.feature_names)).get(name)
+        if position is None:
             raise ConfigurationError(f"feature {name!r} not in tensor")
-        return self._feature_pos[name]
+        return position
 
     def select_features(self, indices: np.ndarray) -> "FeatureTensor":
         """Sub-tensor restricted to the given feature indices."""
@@ -118,5 +171,5 @@ class FeatureTensor:
         )
 
     def nbytes(self) -> int:
-        """Memory footprint of the dense tensor."""
-        return int(self.values.nbytes)
+        """Memory footprint of the tensor's blocks."""
+        return self.n_avails * self.n_timestamps * self.n_features * 8

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.dates import logical_time
 from repro.data.schema import NavyMaintenanceDataset
 from repro.errors import ConfigurationError
 from repro.features.registry import (
@@ -34,6 +35,23 @@ from repro.runtime import ExecutionContext, ensure_context
 _TYPE_CODE = {"G": 0, "N": 1, "NG": 2}
 _N_TYPES = 3
 _RATE_FLOOR = 5.0  # logical-time floor for rate features (avoid blowups near 0)
+
+#: StatStructure accumulators the sweep snapshots at every timestamp, in
+#: the order :meth:`StatusFeatureExtractor._derive` unpacks them.
+_ACCUMULATORS = (
+    "created_count",
+    "created_amount",
+    "created_start_sum",
+    "settled_count",
+    "settled_amount",
+    "settled_duration",
+    "settled_start_sum",
+)
+
+#: Avail x timestamp rows derived together: all timestamps of a few
+#: avails at a time keeps each block's temporaries and its slice of the
+#: output cache-sized on a whole-dataset sweep.
+_BLOCK_ROWS = 128
 
 
 def default_timeline(window_pct: float) -> np.ndarray:
@@ -75,10 +93,9 @@ def _membership_matrices(grid: FeatureGridSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def _safe_div(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(numerator, dtype=np.float64)
-    nz = denominator > 0
-    out[nz] = numerator[nz] / denominator[nz]
-    return out
+    """``numerator / denominator`` where the denominator is positive, else 0."""
+    out = np.zeros(np.shape(numerator), dtype=np.float64)
+    return np.divide(numerator, denominator, out=out, where=denominator > 0)
 
 
 class StatusFeatureExtractor:
@@ -130,15 +147,24 @@ class StatusFeatureExtractor:
 
     # ------------------------------------------------------------------
     def _digit_codes(self, swlin_codes) -> np.ndarray:
-        """Depth-dependent digit code of each SWLIN (offset to 0-based)."""
+        """Depth-dependent digit code of each SWLIN (offset to 0-based).
+
+        Parsed as bytes in one pass: the leading ``swlin_depth``
+        characters of every code must be ASCII digits.
+        """
         lo, hi = self.grid.digit_code_range
-        if self.grid.swlin_depth == 1:
-            codes = np.array([int(code[0]) for code in swlin_codes], dtype=np.int64)
-        else:
-            codes = np.array(
-                [int(code[0]) * 10 + int(code[1]) for code in swlin_codes],
-                dtype=np.int64,
+        depth = self.grid.swlin_depth
+        try:
+            raw = np.asarray(swlin_codes).astype(f"S{depth}")
+        except UnicodeEncodeError:
+            raise ConfigurationError("SWLIN codes must be ASCII") from None
+        digits = raw.view(np.uint8).reshape(len(raw), depth).astype(np.int64)
+        digits -= ord("0")
+        if len(digits) and (digits.min() < 0 or digits.max() > 9):
+            raise ConfigurationError(
+                f"SWLIN codes must start with {depth} digit(s)"
             )
+        codes = digits[:, 0] if depth == 1 else digits[:, 0] * 10 + digits[:, 1]
         if len(codes) and (codes.min() < lo or codes.max() > hi):
             raise ConfigurationError("SWLIN code outside the grid's digit range")
         return codes - lo
@@ -162,47 +188,68 @@ class StatusFeatureExtractor:
         avails' rows of a whole-dataset sweep — the live delta refresh
         (:meth:`~repro.core.estimator.DomdEstimator.advance`) relies on
         this.
+
+        One incremental pass advances the Status Query accumulators over
+        the timeline and snapshots them at every ``t*``; the grid axes
+        and the statistics are then derived for all timestamps at once,
+        a block of avails at a time.
         """
         avails = self.dataset.avails
         n_avails = avails.n_rows
         avail_ids = np.asarray(avails["avail_id"], dtype=np.int64)
-        avail_pos = {int(a): i for i, a in enumerate(avail_ids)}
-
-        rccs = self.dataset.rccs_with_logical_times()
-        rcc_avail_rows = np.array(
-            [avail_pos[int(a)] for a in rccs["avail_id"]], dtype=np.int64
-        )
-        type_codes = np.array([_TYPE_CODE[t] for t in rccs["rcc_type"]], dtype=np.int64)
-        digit_codes = self._digit_codes(rccs["swlin"])
         n_codes = self.grid.n_digit_codes
-        group_ids = (
-            rcc_avail_rows * (_N_TYPES * n_codes) + type_codes * n_codes + digit_codes
-        )
-        n_groups = n_avails * _N_TYPES * n_codes
+        n_cells = _N_TYPES * n_codes
+        n_times = len(self.t_stars)
 
+        rccs = self.dataset.rccs
+        rows = _positions(avail_ids, np.asarray(rccs["avail_id"], dtype=np.int64))
+        keep = rows >= 0
+        if not keep.all():
+            # RCCs of avails outside the table carry no features.
+            rccs, rows = rccs.filter(keep), rows[keep]
+        act_start = np.asarray(avails["act_start"])[rows].astype(np.float64)
+        planned = np.asarray(avails["planned_duration"])[rows].astype(np.float64)
+        starts = logical_time(
+            np.asarray(rccs["create_date"]).astype(np.float64), act_start, planned
+        )
+        ends = logical_time(
+            np.asarray(rccs["settle_date"]).astype(np.float64), act_start, planned
+        )
+        group_ids = (
+            rows * n_cells
+            + _type_codes(rccs["rcc_type"]) * n_codes
+            + self._digit_codes(rccs["swlin"])
+        )
         stat = StatStructure(
             group_ids=group_ids,
-            n_groups=n_groups,
-            starts=np.asarray(rccs["t_start"], dtype=np.float64),
-            ends=np.asarray(rccs["t_end"], dtype=np.float64),
+            n_groups=n_avails * n_cells,
+            starts=starts,
+            ends=ends,
             amounts=np.asarray(rccs["amount"], dtype=np.float64),
         )
 
         type_m, scope_m = _membership_matrices(self.grid)
-        n_features = len(self.registry)
-        out = np.zeros((n_avails, len(self.t_stars), n_features))
-        previous: dict[str, np.ndarray] | None = None
+        out = np.empty((n_avails, n_times, len(self.registry)))
         self.context.counter("feature.extractions")
-        self.context.counter("feature.sweep_timestamps", len(self.t_stars))
+        self.context.counter("feature.sweep_timestamps", n_times)
         # The timeline sweep is the extractor's Status Query workload
         # (Section 4.3 incremental path); naming the span like the
         # engine's keeps request traces linkable down to this layer.
         with self.context.span("status_query.sweep.incremental"):
+            snapshots = np.empty(
+                (n_avails, n_times, len(_ACCUMULATORS), n_cells)
+            )
             for ti, t_star in enumerate(self.t_stars):
                 stat.advance(float(t_star))
-                base = self._marginalise(stat, n_avails, n_codes, type_m, scope_m)
-                out[:, ti, :] = self._derive(base, previous, float(t_star))
-                previous = base
+                for k, name in enumerate(_ACCUMULATORS):
+                    snapshots[:, ti, k] = getattr(stat, name).reshape(
+                        n_avails, n_cells
+                    )
+            block = max(1, _BLOCK_ROWS // max(n_times, 1))
+            for lo in range(0, n_avails, block):
+                self._derive(
+                    snapshots[lo : lo + block], type_m, scope_m, out[lo : lo + block]
+                )
         return FeatureTensor(
             values=out,
             avail_ids=avail_ids,
@@ -211,70 +258,40 @@ class StatusFeatureExtractor:
         )
 
     # ------------------------------------------------------------------
-    def _marginalise(
-        self,
-        stat: StatStructure,
-        n_avails: int,
-        n_codes: int,
-        type_m: np.ndarray,
-        scope_m: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        """Reduce per-(avail, type, code) accumulators to the grid axes.
-
-        Output arrays have shape (n_avails, n_type_labels, n_scope_labels).
-        """
-        def reduce(accumulator: np.ndarray) -> np.ndarray:
-            cube = accumulator.reshape(n_avails, _N_TYPES, n_codes).astype(np.float64)
-            by_type = np.einsum("atd,xt->axd", cube, type_m)
-            return np.einsum("axd,sd->axs", by_type, scope_m)
-
-        return {
-            "created_count": reduce(stat.created_count),
-            "created_amount": reduce(stat.created_amount),
-            "created_start_sum": reduce(stat.created_start_sum),
-            "settled_count": reduce(stat.settled_count),
-            "settled_amount": reduce(stat.settled_amount),
-            "settled_duration": reduce(stat.settled_duration),
-            "settled_start_sum": reduce(stat.settled_start_sum),
-            # raw per-code created stats for the special features
-            "_digit_created_count": stat.created_count.reshape(
-                n_avails, _N_TYPES, n_codes
-            ).sum(axis=1),
-            "_digit_created_amount": stat.created_amount.reshape(
-                n_avails, _N_TYPES, n_codes
-            ).sum(axis=1),
-        }
-
     def _derive(
         self,
-        base: dict[str, np.ndarray],
-        previous: dict[str, np.ndarray] | None,
-        t_star: float,
-    ) -> np.ndarray:
-        """Turn base accumulators into the flat feature vector grid."""
-        created_count = base["created_count"]
-        created_amount = base["created_amount"]
-        settled_count = base["settled_count"]
-        settled_amount = base["settled_amount"]
-        settled_duration = base["settled_duration"]
+        snapshots: np.ndarray,
+        type_m: np.ndarray,
+        scope_m: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Write the features of a block of avails into ``out``.
+
+        ``snapshots`` holds the block's per-(type, code) accumulators at
+        every timestamp, shape (n, timestamps, accumulators, types x
+        codes); ``out`` is the block's (n, timestamps, features) slice of
+        the tensor.
+        """
+        n, n_times = snapshots.shape[:2]
+        n_codes = self.grid.n_digit_codes
+        cube = snapshots.reshape(n, n_times, len(_ACCUMULATORS), _N_TYPES, n_codes)
+        # Marginalise onto the grid axes, for every timestamp at once.
+        by_type = np.einsum("...td,xt->...xd", cube, type_m)
+        base = np.einsum("...xd,sd->...xs", by_type, scope_m)
+        (
+            created_count,
+            created_amount,
+            created_start_sum,
+            settled_count,
+            settled_amount,
+            settled_duration,
+            settled_start_sum,
+        ) = (base[:, :, k] for k in range(len(_ACCUMULATORS)))
+        t_star = self.t_stars.reshape(1, n_times, 1, 1)
         active_count = created_count - settled_count
         active_amount = created_amount - settled_amount
-        active_age_sum = t_star * active_count - (
-            base["created_start_sum"] - base["settled_start_sum"]
-        )
-        rate_div = max(t_star, _RATE_FLOOR)
-        if previous is None:
-            prev_created_count = np.zeros_like(created_count)
-            prev_created_amount = np.zeros_like(created_amount)
-            prev_settled_count = np.zeros_like(settled_count)
-            prev_settled_amount = np.zeros_like(settled_amount)
-        else:
-            prev_created_count = previous["created_count"]
-            prev_created_amount = previous["created_amount"]
-            prev_settled_count = previous["settled_count"]
-            prev_settled_amount = previous["settled_amount"]
-        prev_active_count = prev_created_count - prev_settled_count
-        prev_active_amount = prev_created_amount - prev_settled_amount
+        active_age_sum = t_star * active_count - (created_start_sum - settled_start_sum)
+        rate_div = np.maximum(t_star, _RATE_FLOOR)
 
         stats: dict[str, np.ndarray] = {
             "CNT_CREATED": created_count,
@@ -282,8 +299,8 @@ class StatusFeatureExtractor:
             "AVG_CREATED_AMT": _safe_div(created_amount, created_count),
             "RATE_CREATED_CNT": created_count / rate_div,
             "RATE_CREATED_AMT": created_amount / rate_div,
-            "DLT_CREATED_CNT": created_count - prev_created_count,
-            "DLT_CREATED_AMT": created_amount - prev_created_amount,
+            "DLT_CREATED_CNT": _delta(created_count),
+            "DLT_CREATED_AMT": _delta(created_amount),
             "CNT_SETTLED": settled_count,
             "SUM_SETTLED_AMT": settled_amount,
             "AVG_SETTLED_AMT": _safe_div(settled_amount, settled_count),
@@ -291,8 +308,8 @@ class StatusFeatureExtractor:
             "AVG_SETTLED_DUR": _safe_div(settled_duration, settled_count),
             "RATE_SETTLED_CNT": settled_count / rate_div,
             "RATE_SETTLED_AMT": settled_amount / rate_div,
-            "DLT_SETTLED_CNT": settled_count - prev_settled_count,
-            "DLT_SETTLED_AMT": settled_amount - prev_settled_amount,
+            "DLT_SETTLED_CNT": _delta(settled_count),
+            "DLT_SETTLED_AMT": _delta(settled_amount),
             "RATIO_SETTLED_CNT": _safe_div(settled_count, created_count),
             "RATIO_SETTLED_AMT": _safe_div(settled_amount, created_amount),
             "CNT_ACTIVE": active_count,
@@ -301,23 +318,55 @@ class StatusFeatureExtractor:
             "PCT_ACTIVE": _safe_div(active_count, created_count),
             "SUM_ACTIVE_AGE": active_age_sum,
             "AVG_ACTIVE_AGE": _safe_div(active_age_sum, active_count),
-            "DLT_ACTIVE_CNT": active_count - prev_active_count,
-            "DLT_ACTIVE_AMT": active_amount - prev_active_amount,
+            "DLT_ACTIVE_CNT": _delta(active_count),
+            "DLT_ACTIVE_AMT": _delta(active_amount),
         }
-        n_avails = created_count.shape[0]
-        n_grid = len(self.grid.type_axis) * len(self.grid.swlin_axis) * len(self.grid.stats)
-        n_total = n_grid + (len(SPECIAL_FEATURES) if self.grid.include_specials else 0)
-        flat = np.empty((n_avails, n_total))
+        n_types, n_scopes = len(self.grid.type_axis), len(self.grid.swlin_axis)
+        n_grid = n_types * n_scopes * len(self.grid.stats)
         # Grid block: (type, scope, stat) row-major — matches the registry.
-        stacked = np.stack([stats[name] for name in self.grid.stats], axis=-1)
-        flat[:, :n_grid] = stacked.reshape(n_avails, n_grid)
+        # A view of ``out``: only its contiguous feature axis is split.
+        grid = out[:, :, :n_grid].reshape(
+            n, n_times, n_types, n_scopes, len(self.grid.stats)
+        )
+        for i, name in enumerate(self.grid.stats):
+            grid[..., i] = stats[name]
         if self.grid.include_specials:
-            digit_counts = base["_digit_created_count"]
-            digit_amounts = base["_digit_created_amount"]
-            total_amount = digit_amounts.sum(axis=1)
-            shares = digit_amounts / np.maximum(total_amount[:, None], 1e-12)
-            flat[:, n_grid + 0] = t_star
-            flat[:, n_grid + 1] = np.log1p(total_amount)
-            flat[:, n_grid + 2] = (digit_counts > 0).sum(axis=1)
-            flat[:, n_grid + 3] = (shares**2).sum(axis=1)
-        return flat
+            # Per-code created stats, summed over the RCC types.
+            cells = (n, n_times, _N_TYPES, n_codes)
+            digit_counts = snapshots[:, :, 0].reshape(cells).sum(axis=2)
+            digit_amounts = snapshots[:, :, 1].reshape(cells).sum(axis=2)
+            total_amount = digit_amounts.sum(axis=-1)
+            shares = digit_amounts / np.maximum(total_amount[..., None], 1e-12)
+            out[:, :, n_grid + 0] = self.t_stars
+            out[:, :, n_grid + 1] = np.log1p(total_amount)
+            out[:, :, n_grid + 2] = (digit_counts > 0).sum(axis=-1)
+            out[:, :, n_grid + 3] = (shares**2).sum(axis=-1)
+
+
+def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in ``ids`` (unique), -1 where absent."""
+    if not len(ids):
+        return np.full(len(keys), -1, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    at = np.minimum(np.searchsorted(ids, keys, sorter=order), len(ids) - 1)
+    found = order[at]
+    return np.where(ids[found] == keys, found, -1)
+
+
+def _type_codes(rcc_types) -> np.ndarray:
+    """Code of each RCC type (G, N, NG), parsed as bytes in one pass."""
+    labels = np.asarray(rcc_types).astype("S3")
+    codes = np.full(len(labels), -1, dtype=np.int64)
+    for label, code in _TYPE_CODE.items():
+        codes[labels == label.encode()] = code
+    if len(codes) and codes.min() < 0:
+        unknown = sorted({str(t) for t in np.asarray(rcc_types)[codes < 0]})
+        raise ConfigurationError(f"unknown RCC type(s) {unknown[:5]}")
+    return codes
+
+
+def _delta(values: np.ndarray) -> np.ndarray:
+    """Change since the previous timestamp (axis 1); the first is itself."""
+    previous = np.zeros_like(values)
+    previous[:, 1:] = values[:, :-1]
+    return values - previous

@@ -381,10 +381,7 @@ class ShardServer:
                         # Even a half-applied batch refreshes what its
                         # prefix touched: answers stamped with watermark
                         # w reflect every record <= w.
-                        self.service.rebind(
-                            self.ingestor.dataset(),
-                            touched=self.ingestor.take_touched(),
-                        )
+                        self.service.rebind(self.ingestor.take_touched())
             except ReproError as exc:
                 return error_envelope("domain_error", str(exc))
         return {
@@ -481,7 +478,7 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
         wal = WalWriter(spec["wal_path"], telemetry=context.telemetry)
         replayed = ingestor.replay(spec["wal_path"])
         if replayed["applied"]:
-            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+            service.rebind(ingestor.take_touched())
         assert ingestor.watermark == wal.last_seq, (
             f"shard {spec['shard_id']} recovery gap: watermark "
             f"{ingestor.watermark} != WAL end {wal.last_seq}"

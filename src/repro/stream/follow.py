@@ -2,10 +2,11 @@
 
 :class:`WalFollower` polls a WAL file on a daemon thread and pushes
 fresh records through a :class:`~repro.stream.ingest.StreamIngestor`.
-All mutation — index maintenance *and* rebinding the service's estimator
-to the refreshed dataset — happens under the write side of a
-:class:`~repro.runtime.concurrency.ReadWriteGate`, while query workers
-hold the read side, so a request never observes a half-applied batch.
+All mutation — index maintenance *and* the service's feature refresh
+for the avails a batch touched (``DomdService.rebind``) — happens under
+the write side of a :class:`~repro.runtime.concurrency.ReadWriteGate`,
+while query workers hold the read side, so a request never observes a
+half-applied batch.
 
 A poll that fails — a torn WAL mid-write, an IO error, a record the
 store rejects — is retried on the next poll.  A rejected record fails

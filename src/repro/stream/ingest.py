@@ -312,7 +312,11 @@ class StreamIngestor:
         )
 
     def dataset(self):
-        """Current state as a static snapshot dataset."""
+        """Current state as a whole static snapshot dataset.
+
+        The live feature refresh never builds it: it reads only the
+        touched avails (:meth:`StreamingRccStore.dataset_for`).
+        """
         return self.store.dataset()
 
     def status(self) -> dict[str, Any]:

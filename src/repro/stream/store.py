@@ -27,7 +27,8 @@ anything, so a server can refuse a batch before it reaches the WAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -413,6 +414,45 @@ class StreamingRccStore:
             scaling_factor=self.scaling_factor,
         )
 
+    def dataset_for(self, avail_ids: Iterable[int]) -> NavyMaintenanceDataset:
+        """The current sub-snapshot of these avails (unknown ids ignored).
+
+        Equal, column for column, to :meth:`dataset` restricted to them:
+        ships whole, avail rows in table order, RCC rows in rcc_id order
+        (row order changes float sums downstream).  Built from these
+        avails' own slots, so its cost grows with their RCCs, not with
+        the store.
+        """
+        ids = sorted(
+            {int(a) for a in avail_ids} & self._avail_row.keys(),
+            key=self._avail_row.__getitem__,
+        )
+        rows = np.array([self._avail_row[a] for a in ids], dtype=np.int64)
+        slots = [slot for a in ids for slot in self._slots_by_avail.get(a, ())]
+        rcc_ids = np.array(_take(self._rcc_id, slots), dtype=np.int64)
+        order = np.argsort(rcc_ids, kind="stable")
+        columns = {
+            "rcc_id": rcc_ids,
+            "avail_id": np.array(_take(self._avail_id, slots), dtype=np.int64),
+            "rcc_type": np.array(_take(self._rcc_type, slots), dtype=object),
+            "swlin": np.array(_take(self._swlin, slots), dtype=object),
+            "create_date": np.array(_take(self._create_date, slots), dtype=np.int64),
+            "settle_date": np.array(_take(self._settle_date, slots), dtype=np.int64),
+            "status": np.array(_take(self._status, slots), dtype=object),
+            "amount": np.array(_take(self._amount, slots), dtype=np.float64),
+        }
+        return NavyMaintenanceDataset(
+            ships=self.ships,
+            avails=ColumnTable(
+                {name: values[rows] for name, values in self._avails.items()}
+            ),
+            rccs=ColumnTable(
+                {name: values[order] for name, values in columns.items()}
+            ),
+            seed=self.seed,
+            scaling_factor=self.scaling_factor,
+        )
+
     def orphans_payload(self) -> dict[str, list[dict[str, Any]]]:
         """JSON-ready orphan buffer (snapshot persistence)."""
         return {
@@ -425,6 +465,13 @@ class StreamingRccStore:
             self._orphans[int(rcc_id)] = [
                 event_from_dict(event) for event in events
             ]
+
+
+def _take(values: list, slots: list[int]) -> tuple:
+    """``values`` at ``slots``, in order."""
+    if len(slots) > 1:
+        return itemgetter(*slots)(values)
+    return tuple(values[slot] for slot in slots)
 
 
 def _check_settle(event: RccSettled, create_day: int) -> None:

@@ -181,3 +181,76 @@ class TestEvaluateAndFit:
         estimator = DomdEstimator(config).fit(small_dataset)
         result = estimator.query([0], t_star=50.0)
         assert len(result) == 1
+
+
+class TestStackedBasePrediction:
+    """A stacked set predicts its base model once per call, not once per
+    window, and answers exactly as predicting it per window did."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self, request):
+        dataset = request.getfixturevalue("small_dataset")
+        splits = request.getfixturevalue("small_splits")
+        config = PipelineConfig(
+            window_pct=10.0,
+            k=6,
+            architecture="stacked",
+            fusion="average",
+            gbm=GbmParams(n_estimators=8),
+        )
+        return DomdEstimator(config).fit(dataset, splits.train_ids), splits
+
+    @staticmethod
+    def per_window_fused(estimator, avail_ids):
+        """Fused estimates with the base model predicted per window."""
+        from repro.core import fusion
+
+        rows = estimator._tensor.rows_for(avail_ids)
+        X_static, dyn = estimator._X_static[rows], estimator._tensor.gather(rows)
+        model_set = estimator._model_set
+        raw = np.column_stack(
+            [
+                model_set.predict_window(X_static, dyn[:, ti, :], ti)
+                for ti in range(len(model_set.windows))
+            ]
+        )
+        return fusion.fuse_progressive(raw, estimator.config.fusion)
+
+    def test_eleven_windows_make_twelve_predicts(self, stacked, monkeypatch):
+        from repro.ml.gbm import GradientBoostedTrees
+
+        estimator, splits = stacked
+        ids = [int(a) for a in splits.test_ids[:3]]
+        calls = []
+        predict = GradientBoostedTrees.predict
+
+        def counted(self, X):
+            calls.append(len(X))
+            return predict(self, X)
+
+        monkeypatch.setattr(GradientBoostedTrees, "predict", counted)
+        answers = estimator.query(ids, t_star=100.0)
+        assert len(calls) == 12
+        monkeypatch.undo()
+        expected = self.per_window_fused(estimator, ids)
+        for i, answer in enumerate(answers):
+            assert np.array_equal(
+                answer.fused_estimates.view(np.int64), expected[i].view(np.int64)
+            )
+
+    def test_evaluate_matches_per_window_base_predictions(self, stacked):
+        from repro.ml.metrics import metric_suite
+
+        estimator, splits = stacked
+        ids = np.asarray(splits.test_ids, dtype=np.int64)
+        delay = dict(
+            zip(
+                estimator._dataset.avails["avail_id"].tolist(),
+                estimator._dataset.avails["delay"].tolist(),
+            )
+        )
+        y = np.array([delay[int(a)] for a in ids])
+        fused = self.per_window_fused(estimator, ids)
+        metrics = estimator.evaluate(ids)
+        for ti, boundary in enumerate(estimator.timeline.t_stars):
+            assert metrics[f"t={boundary:g}"] == metric_suite(y, fused[:, ti])

@@ -81,6 +81,41 @@ class TestFeatureTensor:
     def test_nbytes(self, tensor):
         assert tensor.nbytes() == tensor.values.nbytes
 
+    def test_gather_stacks_rows_in_order(self, tensor):
+        np.testing.assert_array_equal(
+            tensor.gather(np.array([3, 0])), tensor.values[[3, 0]]
+        )
+        assert tensor.gather(np.array([], dtype=np.int64)).shape == (0, 3, 5)
+
+    def test_with_rows_shares_untouched_blocks(self, tensor):
+        before = tensor.values.copy()
+        part = FeatureTensor(
+            values=np.full((1, 3, 5), 7.0),
+            avail_ids=np.array([20]),
+            t_stars=tensor.t_stars,
+            feature_names=list(tensor.feature_names),
+        )
+        derived = tensor.with_rows(part)
+        touched = int(derived.rows_for([20])[0])
+        assert (derived.gather([touched]) == 7.0).all()
+        assert not np.shares_memory(derived._rows[touched], tensor.values)
+        for row in (0, 2, 3):
+            assert np.shares_memory(derived._rows[row], tensor._rows[row])
+        # neither tensor's arrays were written
+        np.testing.assert_array_equal(tensor.values, before)
+        np.testing.assert_array_equal(derived.values[[0, 2, 3]], before[[0, 2, 3]])
+        assert derived.feature_index("f3") == 3
+
+    def test_with_rows_rejects_other_axes(self, tensor):
+        part = FeatureTensor(
+            values=np.zeros((1, 2, 5)),
+            avail_ids=np.array([20]),
+            t_stars=np.array([0.0, 50.0]),
+            feature_names=list(tensor.feature_names),
+        )
+        with pytest.raises(ConfigurationError, match="different axes"):
+            tensor.with_rows(part)
+
 
 class TestStaticFeatures:
     def test_shape_and_names(self, small_dataset):

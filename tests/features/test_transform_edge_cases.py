@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.schema import NavyMaintenanceDataset
-from repro.features import StatusFeatureExtractor
+from repro.errors import ConfigurationError
+from repro.features import FeatureGridSpec, StatusFeatureExtractor
 from repro.table import ColumnTable
+from tests.features.sweep_oracle import oracle_sweep
 
 
 def _dataset_with_rccs(rcc_rows):
@@ -153,3 +155,34 @@ class TestTypeScopes:
         assert (
             tensor.values[0, t100, tensor.feature_index("ALLALL-SUM_SETTLED_AMT")] == 700.0
         )
+
+
+class TestCodeParsing:
+    """RCC types and SWLIN digits are parsed as bytes, all rows at once."""
+
+    def test_unknown_rcc_type_rejected(self):
+        dataset = _dataset_with_rccs([_rcc(0, 1010, 1020, rcc_type="GX")])
+        with pytest.raises(ConfigurationError, match="unknown RCC type"):
+            StatusFeatureExtractor(dataset).sweep()
+
+    @pytest.mark.parametrize("swlin", ["A11-11-001", "", "011-11-001"])
+    def test_swlin_without_a_grid_digit_rejected(self, swlin):
+        dataset = _dataset_with_rccs([_rcc(0, 1010, 1020, swlin=swlin)])
+        with pytest.raises(ConfigurationError, match="SWLIN"):
+            StatusFeatureExtractor(dataset).sweep()
+
+    def test_two_digit_grid_needs_two_digits(self):
+        dataset = _dataset_with_rccs([_rcc(0, 1010, 1020, swlin="1")])
+        with pytest.raises(ConfigurationError, match="2 digit"):
+            StatusFeatureExtractor(dataset, grid=FeatureGridSpec.deep()).sweep()
+
+    def test_rccs_of_avails_outside_the_table_carry_no_features(self):
+        kept = _rcc(0, 1010, 1020)
+        stray = dict(_rcc(1, 1010, 1030, amount=5.0), avail_id=7)
+        extractor = StatusFeatureExtractor(_dataset_with_rccs([kept, stray]))
+        swept = extractor.sweep().values
+        # the per-timestamp sweep's inner join dropped them too
+        np.testing.assert_array_equal(swept, oracle_sweep(extractor).values)
+        alone = StatusFeatureExtractor(_dataset_with_rccs([kept])).sweep().values
+        np.testing.assert_array_equal(swept, alone)
+

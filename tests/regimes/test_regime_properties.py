@@ -11,7 +11,9 @@ generator does:
     after every applied batch, the live estimator's delta-refreshed
     feature tensor and static matrix — including the out-of-order
     ``late_arrival`` delivery, and dataset<->stream round-trips through
-    a real file.
+    a real file;
+(d) the one-pass feature sweep bitwise equal to the per-timestamp sweep
+    it replaced, over every grid shape and avail blocking.
 
 The learnability gate lives in ``test_regime_quality.py``.
 """
@@ -22,7 +24,14 @@ import numpy as np
 import pytest
 
 from repro.data.regimes import write_regime_stream
-from repro.data.schema import AVAIL_COLUMNS, RCC_COLUMNS, SHIP_COLUMNS
+from repro.data.schema import (
+    AVAIL_COLUMNS,
+    RCC_COLUMNS,
+    SHIP_COLUMNS,
+    NavyMaintenanceDataset,
+)
+from repro.features.registry import FeatureGridSpec
+from repro.features.transform import StatusFeatureExtractor
 from repro.index.base import validate_triples
 from repro.index.status_query import StatusQueryEngine
 from repro.stream import (
@@ -32,6 +41,7 @@ from repro.stream import (
     event_to_dict,
     read_event_stream,
 )
+from tests.features.sweep_oracle import oracle_sweep
 from tests.index.test_columnar_differential import executor_disagreement
 from tests.index.test_differential_fuzz import disagreement, shrink
 from tests.regimes.conftest import fail_with_reproducer, regime_params
@@ -263,6 +273,67 @@ class TestStreamingReplay:
         # ... and every orphan was eventually drained
         assert not store.orphans
 
+
+# ----------------------------------------------------------------------
+# (d) one-pass feature sweep == per-timestamp sweep
+# ----------------------------------------------------------------------
+#: (grid, timeline) shapes the sweep oracle runs over: the paper's grid,
+#: a timeline past t*=100 with uneven steps, the depth-2 grid, and a
+#: grid without the specials.
+SWEEP_SHAPES = (
+    (FeatureGridSpec.default(), None),
+    (FeatureGridSpec.default(), np.array([0.0, 7.5, 20.0, 50.0, 100.0, 140.0])),
+    (FeatureGridSpec.deep(), None),
+    (FeatureGridSpec.compact(), None),
+)
+
+
+def sweep_disagreement(dataset, rows: list[int]) -> str | None:
+    """None when the sweep over ``dataset``'s RCC ``rows`` is bitwise the
+    per-timestamp oracle's — whole, and for one- and five-avail subsets
+    (one derive block, and a block boundary inside the whole dataset)."""
+    rccs = dataset.rccs.take(np.asarray(rows, dtype=np.int64))
+    avail_ids = np.asarray(dataset.avails["avail_id"])
+    subsets = [avail_ids, avail_ids[:1], avail_ids[-5:]]
+    for ids in subsets:
+        keep = np.isin(avail_ids, ids)
+        sub = NavyMaintenanceDataset(
+            ships=dataset.ships,
+            avails=dataset.avails.filter(keep),
+            rccs=rccs.filter(np.isin(np.asarray(rccs["avail_id"]), ids)),
+        )
+        for grid, t_stars in SWEEP_SHAPES:
+            extractor = StatusFeatureExtractor(sub, t_stars, grid=grid)
+            got = extractor.sweep().values
+            want = oracle_sweep(extractor).values
+            if got.shape != want.shape or not np.array_equal(
+                got.view(np.int64), want.view(np.int64)
+            ):
+                return (
+                    f"sweep of {len(ids)} avail(s) diverges from the "
+                    f"per-timestamp oracle (depth {grid.swlin_depth}, "
+                    f"{len(extractor.t_stars)} timestamps)"
+                )
+    return None
+
+
+@pytest.mark.parametrize("regime", regime_params())
+class TestFeatureSweep:
+    def test_sweep_matches_per_timestamp_oracle(self, regime, regime_cache):
+        _, dataset, _, _ = regime_cache(regime)
+        rows = list(range(dataset.n_rccs))
+        label = sweep_disagreement(dataset, rows)
+        if label is None:
+            return
+        minimal = shrink(rows, predicate=lambda r: sweep_disagreement(dataset, r))
+        fail_with_reproducer(
+            regime,
+            "feature-sweep",
+            label,
+            [dataset.rccs.row(row) for row in minimal],
+            len(rows),
+            unit="rccs",
+        )
 
 class TestCliAcceptance:
     def test_generate_regime_then_replay_verify(self, tmp_path):

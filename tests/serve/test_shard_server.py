@@ -429,6 +429,57 @@ class TestIngestDurability:
         assert again["result"] == live["result"]
         assert again["provenance"]["feature_key"] == live["provenance"]["feature_key"]
 
+    def test_ingest_before_the_first_read_answers_like_a_fresh_extraction(
+        self, serve_env, tmp_path
+    ):
+        """The first batch reaches a shard no request has read yet; its
+        live answers equal a service extracted fresh from the shard's
+        whole live snapshot, touched avails and untouched alike."""
+        runtime = build_shard_runtime(
+            {
+                "shard_id": 0,
+                "shard_ids": [0, 1],
+                "model": serve_env.model_path,
+                "data": serve_env.data_dir,
+                "wal_path": str(tmp_path / "shard-0.wal"),
+            }
+        )
+        owned = _owned_avails(serve_env.dataset, 0)
+        avail_id = owned[0]
+        avails = serve_env.dataset.avails
+        row_of = {int(a): row for row, a in enumerate(avails["avail_id"])}
+        start = int(avails["act_start"][row_of[avail_id]])
+        plan_end = int(avails["plan_end"][row_of[owned[1]]])
+        events = [
+            {"kind": "rcc_created", "rcc_id": 92_000_001, "avail_id": avail_id,
+             "rcc_type": "NG", "swlin": "523-45-678", "create_date": start + 2,
+             "amount": 75.0},
+            {"kind": "rcc_settled", "rcc_id": 92_000_001,
+             "settle_date": start + 9},
+            {"kind": "avail_extended", "avail_id": owned[1],
+             "new_plan_end": plan_end + 30},
+        ]
+        queries = [
+            {"type": "domd_query", "avail_ids": owned[:4], "t_star": t}
+            for t in (10.0, 55.0, 100.0)
+        ]
+        runtime.server.start()
+        try:
+            with _client(runtime.server) as client:
+                ack = client.request({"type": "ingest", "events": events})
+                assert ack["ok"], ack
+                live = [client.request(query) for query in queries]
+        finally:
+            runtime.server.stop(drain=False)
+            runtime.wal.close()
+        fresh = DomdService(
+            load_estimator(serve_env.model_path, runtime.ingestor.dataset())
+        )
+        for query, answer in zip(queries, live):
+            assert answer["ok"], answer
+            assert answer["watermark"] == 3
+            assert answer["result"] == fresh.handle(query)["result"]
+
     def test_empty_batch_acks_without_wal_traffic(self, wal_shard):
         seq_before = wal_shard.wal.last_seq
         with _client(wal_shard.server) as client:

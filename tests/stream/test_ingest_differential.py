@@ -12,7 +12,9 @@ arrives as a minimal event-list reproducer.
 The same streams also drive the serving layer's delta feature refresh:
 after every applied batch the live estimator's feature tensor and static
 matrix must be bitwise equal to a fresh extraction over the ingestor's
-snapshot (:func:`tensor_disagreement`, shrunk the same way).
+snapshot (:func:`tensor_disagreement`, shrunk the same way), and the
+store's sub-snapshot of the touched avails must equal the whole
+snapshot restricted to them (:func:`for_avails`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import DomdService
+from repro.data.schema import NavyMaintenanceDataset
 from repro.features.static import static_features_for
 from repro.features.transform import StatusFeatureExtractor
 from repro.index.status_query import StatusQueryEngine
@@ -161,6 +164,35 @@ def replay_disagreement(events: list[dict], check_every: int = 7) -> str | None:
     return None
 
 
+def for_avails(dataset, avail_ids) -> NavyMaintenanceDataset:
+    """The sub-snapshot of these avails cut from a whole snapshot: ships
+    whole, every other row in its relative order (the oracle of
+    :meth:`StreamingRccStore.dataset_for`)."""
+    ids = np.asarray(sorted(int(a) for a in avail_ids), dtype=np.int64)
+    avail_mask = np.isin(np.asarray(dataset.avails["avail_id"], dtype=np.int64), ids)
+    rcc_mask = np.isin(np.asarray(dataset.rccs["avail_id"], dtype=np.int64), ids)
+    return NavyMaintenanceDataset(
+        ships=dataset.ships,
+        avails=dataset.avails.filter(avail_mask),
+        rccs=dataset.rccs.filter(rcc_mask),
+        seed=dataset.seed,
+        scaling_factor=dataset.scaling_factor,
+    )
+
+
+def table_difference(got: ColumnTable, want: ColumnTable) -> str | None:
+    """None when two tables match column for column, dtypes included."""
+    if got.column_names != want.column_names:
+        return f"columns {got.column_names} != {want.column_names}"
+    for name in got.column_names:
+        a, b = got[name], want[name]
+        if a.dtype != b.dtype or not np.array_equal(
+            a, b, equal_nan=a.dtype.kind == "f"
+        ):
+            return f"column {name!r} differs"
+    return None
+
+
 def toy_store() -> StreamingRccStore:
     return StreamingRccStore(ships=SHIPS, avails=AVAILS.select(AVAILS.column_names))
 
@@ -207,9 +239,8 @@ def tensor_disagreement(
             ingestor.apply_events(events[lo : lo + batch_size])
         except Exception as exc:  # noqa: BLE001 — a crash is a failure too
             return f"apply crashed at event {lo}+: {type(exc).__name__}: {exc}"
-        dataset = ingestor.dataset()
-        service.rebind(dataset, touched=ingestor.take_touched())
-        label = features_disagreement(service._estimator, dataset)
+        service.rebind(ingestor.take_touched())
+        label = features_disagreement(service._estimator, ingestor.dataset())
         if label is not None:
             return f"{label} at watermark {ingestor.watermark}"
     return None
@@ -392,6 +423,58 @@ class TestLateArrivalRoundTrip:
         assert not store.orphans
 
 
+def sub_snapshot_disagreement(events: list[dict], seed: int = 0) -> str | None:
+    """None when, after every event, the store's sub-snapshot of the
+    touched avails — and of random id sets — equals the whole snapshot
+    restricted to them."""
+    rng = np.random.default_rng(seed)
+    store = toy_store()
+    ingestor = StreamIngestor(store)
+    for position, event in enumerate(events):
+        try:
+            ingestor.apply_events([event])
+        except Exception as exc:  # noqa: BLE001 — a crash is a failure too
+            return f"apply crashed at event {position}: {type(exc).__name__}: {exc}"
+        whole = store.dataset()
+        # 99 is no avail of the store: ignored on both sides
+        picks = [set(), {99}, set(rng.choice([1, 2, 3, 99], size=2).tolist())]
+        for ids in [ingestor.take_touched(), *picks]:
+            got, want = store.dataset_for(ids), for_avails(whole, ids)
+            for label in ("avails", "rccs"):
+                diff = table_difference(getattr(got, label), getattr(want, label))
+                if diff is not None:
+                    return f"{label} of avails {sorted(ids)} at event {position}: {diff}"
+            if got.ships is not whole.ships:
+                return "sub-snapshot does not share the ship table"
+    return None
+
+
+class TestStoreSubSnapshot:
+    """``StreamingRccStore.dataset_for`` == ``dataset()`` cut to the avails."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 13, 2025])
+    def test_random_streams(self, seed):
+        # creates, settle-before-create orphans, duplicates, revisions
+        # and avail extensions
+        events = random_event_dicts(seed)
+        label = sub_snapshot_disagreement(events, seed)
+        if label is None:
+            return
+        minimal = shrink(events, predicate=lambda evs: sub_snapshot_disagreement(evs, seed))
+        pytest.fail(
+            f"store sub-snapshot diverges: {label}\n"
+            f"minimal reproducer ({len(minimal)} of {len(events)} events):\n"
+            f"{json.dumps(minimal, indent=2)}"
+        )
+
+    def test_rows_follow_rcc_id_not_arrival(self):
+        """Late creates land in rcc_id order, as in the whole snapshot."""
+        store = toy_store()
+        for rcc_id, day in ((5, 1030), (2, 1010), (9, 1005), (1, 1040)):
+            store.apply(_create(rcc_id, 1, day))
+        assert list(store.dataset_for([1]).rccs["rcc_id"]) == [1, 2, 5, 9]
+
+
 def _create(rcc_id, avail_id, day, amount=10.0, rcc_type="G", swlin=SWLINS[0]):
     return {"kind": "rcc_created", "rcc_id": rcc_id, "avail_id": avail_id,
             "rcc_type": rcc_type, "swlin": swlin, "create_date": day,
@@ -455,12 +538,12 @@ class TestLiveFeatureDifferential:
         # an all-duplicate batch touches nothing and re-extracts nothing
         service, ingestor = live_service(feature_estimator, toy_store())
         ingestor.apply_events(events[:4])
-        service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+        service.rebind(ingestor.take_touched())
         bound = service._estimator._tensor_data
         ingestor.apply_events([create, settle, extend])
         touched = ingestor.take_touched()
         assert touched == frozenset()
-        service.rebind(ingestor.dataset(), touched=touched)
+        service.rebind(touched)
         assert service._estimator._tensor_data is bound
 
     def test_artefact_without_static_vocabulary(self, feature_estimator):
@@ -505,14 +588,14 @@ class TestLiveFeatureDifferential:
         keys = []
         for lo in range(0, len(events), 6):
             ingestor.apply_events(events[lo : lo + 6])
-            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+            service.rebind(ingestor.take_touched())
             keys.append(service.handle(query)["provenance"]["feature_key"])
         assert keys[-1] == f"{boot_key}@{ingestor.watermark}"
         assert len(set(keys)) == len(keys)
 
         restarted, replayed = live_service(feature_estimator, toy_store())
         replayed.apply_events(events)
-        restarted.rebind(replayed.dataset(), touched=replayed.take_touched())
+        restarted.rebind(replayed.take_touched())
         response = restarted.handle(query)
         assert response["watermark"] == ingestor.watermark
         assert response["provenance"]["feature_key"] == keys[-1]
@@ -546,27 +629,103 @@ class TestLiveFeatureDifferential:
         monkeypatch.setattr(ArtifactCache, "get_or_build", counted_lookup)
         for lo in range(0, len(events), 5):
             ingestor.apply_events(events[lo : lo + 5])
-            service.rebind(ingestor.dataset(), touched=ingestor.take_touched())
+            service.rebind(ingestor.take_touched())
             response = service.handle(
                 {"type": "domd_query", "avail_ids": [1, 2], "t_star": 50.0}
             )
             assert response["ok"], response
         assert calls == {"fingerprint": 0, "cache": 0}
 
-    def test_rebind_before_features_are_bound_stays_lazy(self, feature_estimator):
+    def test_live_refresh_reads_only_the_touched_avails(
+        self, feature_estimator, monkeypatch
+    ):
+        """Neither a refresh nor a request on the live estimator builds
+        the whole snapshot or the whole RCC table."""
+        from repro.errors import SchemaError
+
+        service, ingestor = live_service(feature_estimator, toy_store())
+        calls = {"dataset": 0, "rcc_table": 0}
+        for name in calls:
+            original = getattr(StreamingRccStore, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(StreamingRccStore, name, counted)
+        events = random_event_dicts(2, n=30)
+        requests = [
+            {"type": "domd_query", "avail_ids": [1, 2], "t_star": 50.0},
+            {"type": "explain", "avail_id": 2, "t_star": 30.0},
+            {"type": "fleet_status", "date": "1972-10-01"},
+            {"type": "metrics", "avail_ids": [1]},
+        ]
+        for lo in range(0, len(events), 5):
+            ingestor.apply_events(events[lo : lo + 5])
+            service.rebind(ingestor.take_touched())
+            for request in requests:
+                response = service.handle(request)
+                assert response["ok"], response
+        assert calls == {"dataset": 0, "rcc_table": 0}
+        # The live estimator has no RCC table to read from a stale
+        # watermark: asking names the ingestor's whole snapshot instead.
+        with pytest.raises(SchemaError, match=r"StreamIngestor\.dataset\(\)"):
+            service._estimator._dataset.rccs
+
+    def test_untouched_rows_are_shared_and_versions_never_change(
+        self, feature_estimator
+    ):
+        service, ingestor = live_service(feature_estimator, toy_store())
+        batches = [
+            [_create(0, 1, 1010, amount=5.0)],
+            [_create(1, 2, 1020), {"kind": "rcc_settled", "rcc_id": 0,
+                                   "settle_date": 1030}],
+            [{"kind": "avail_extended", "avail_id": 3, "new_plan_end": 1150}],
+        ]
+        for batch in batches:
+            previous = service._estimator
+            tensor, X_static = previous._tensor_data, previous._X_static_data
+            rows_before = [row.copy() for row in tensor._rows]
+            static_before = X_static.copy()
+            ingestor.apply_events(batch)
+            touched = ingestor.take_touched()
+            service.rebind(touched)
+            current = service._estimator
+            assert current is not previous
+            for row, avail in enumerate(tensor.avail_ids):
+                shared = np.shares_memory(
+                    current._tensor_data._rows[row], tensor._rows[row]
+                )
+                assert shared == (int(avail) not in touched), avail
+            # the version requests may still hold is bitwise unchanged
+            for before, row in zip(rows_before, tensor._rows):
+                assert np.array_equal(before.view(np.int64), row.view(np.int64))
+            assert np.array_equal(
+                static_before.view(np.int64), X_static.view(np.int64)
+            )
+            assert previous._tensor_data is tensor
+            label = features_disagreement(current, ingestor.dataset())
+            assert label is None, label
+
+    def test_rebind_before_features_are_bound_binds_the_boot_snapshot(
+        self, feature_estimator
+    ):
+        """A service that ingests before its first read binds the boot
+        snapshot's features, then splices: it answers like a fresh
+        extraction and is never left lazy."""
         store = toy_store()
         ingestor = StreamIngestor(store)
-        service = DomdService(feature_estimator.serve(store.dataset()))
+        boot = feature_estimator.serve(store.dataset())
+        service = DomdService(boot)
         service.ingest = ingestor
         ingestor.apply_events(random_event_dicts(1, n=12))
-        dataset = ingestor.dataset()
-        service.rebind(dataset, touched=ingestor.take_touched())
-        assert service._estimator._features_pending
-        assert service._estimator._tensor_data is None
-        fresh = StatusFeatureExtractor(
-            dataset, service._estimator.timeline.t_stars
-        ).sweep()
-        assert np.array_equal(service._estimator._tensor.values, fresh.values)
+        service.rebind(ingestor.take_touched())
+        assert not boot._features_pending and boot._tensor_data is not None
+        label = features_disagreement(service._estimator, ingestor.dataset())
+        assert label is None, label
         assert service._estimator.provenance()["feature_key"].endswith(
             f"@{ingestor.watermark}"
         )
+        query = {"type": "domd_query", "avail_ids": [1, 2], "t_star": 60.0}
+        fresh = DomdService(feature_estimator.serve(ingestor.dataset()))
+        assert service.handle(query)["result"] == fresh.handle(query)["result"]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import DomdEstimator, DomdService, paper_final_config
+from repro.errors import SchemaError
 from repro.runtime import ExecutionContext
 from repro.runtime.concurrency import ReadWriteGate
 from repro.stream import (
@@ -141,17 +142,19 @@ class TestWalFollowing:
             ingestor,
             wal,
             gate=gate,
-            on_batch=lambda ing: service.rebind(
-                ing.dataset(), touched=ing.take_touched()
-            ),
+            on_batch=lambda ing: service.rebind(ing.take_touched()),
         )
         applied = follower.poll_once()
         assert applied == 5
         assert ingestor.watermark == 5
         assert gate.writes == 1
-        # the rebound estimator serves the grown dataset
-        n_before = dataset.rccs.n_rows
-        assert service._estimator._dataset.rccs.n_rows == n_before + 5
+        # the rebound estimator serves the live snapshot at watermark 5,
+        # which reads RCCs only through the ingestor
+        live = service._estimator._dataset
+        assert live.watermark == 5
+        with pytest.raises(SchemaError, match=r"StreamIngestor\.dataset\(\)"):
+            live.rccs
+        assert ingestor.dataset().rccs.n_rows == dataset.rccs.n_rows + 5
         with gate.read():
             response = service.handle(
                 {
@@ -216,9 +219,7 @@ class TestWalFollowing:
         follower = WalFollower(
             ingestor,
             wal,
-            on_batch=lambda ing: service.rebind(
-                ing.dataset(), touched=ing.take_touched()
-            ),
+            on_batch=lambda ing: service.rebind(ing.take_touched()),
             poll_interval=0.01,
         )
         follower.start()

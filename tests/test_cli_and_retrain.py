@@ -119,6 +119,99 @@ class TestCliQueryEvaluateServe:
         assert code == 1
 
 
+class TestCliIngestAppend:
+    """``ingest append`` validates against the state the WAL leads to."""
+
+    @staticmethod
+    def write_events(path, events, header=None):
+        with open(path, "w", encoding="utf-8") as handle:
+            if header is not None:
+                handle.write(json.dumps(header) + "\n")
+            for event in events:
+                handle.write(json.dumps(event) + "\n")
+        return str(path)
+
+    @pytest.fixture()
+    def live(self, small_dataset):
+        avails = small_dataset.avails
+        next_id = int(np.max(small_dataset.rccs["rcc_id"])) + 1
+        avail_id, start = int(avails["avail_id"][0]), int(avails["act_start"][0])
+
+        def created(rcc_id, day):
+            return {"kind": "rcc_created", "rcc_id": rcc_id, "avail_id": avail_id,
+                    "rcc_type": "G", "swlin": "111-11-001", "create_date": day,
+                    "amount": 10.0}
+
+        return next_id, start, created
+
+    def test_settle_before_create_is_refused_and_the_wal_untouched(
+        self, cli_env, live, tmp_path
+    ):
+        data_dir, _ = cli_env
+        next_id, start, created = live
+        wal = tmp_path / "wal.jsonl"
+        first = self.write_events(tmp_path / "first.jsonl", [created(next_id, start + 3)])
+        code, lines = run_cli(
+            "ingest", "append", "--wal", str(wal), "--events", first, "--data", data_dir
+        )
+        assert code == 0 and lines[-1]["appended"] == 1
+        before = wal.read_bytes()
+
+        rejected = self.write_events(
+            tmp_path / "rejected.jsonl",
+            [
+                created(next_id + 1, start + 10),
+                {"kind": "rcc_settled", "rcc_id": next_id + 1, "settle_date": start + 5},
+            ],
+        )
+        code, lines = run_cli(
+            "ingest", "append", "--wal", str(wal), "--events", rejected, "--data", data_dir
+        )
+        assert code == 1
+        assert "before its creation day" in lines[-1]["error"]["message"]
+        assert wal.read_bytes() == before
+        # a settle of the RCC the WAL already created is checked too
+        stale = self.write_events(
+            tmp_path / "stale.jsonl",
+            [{"kind": "rcc_settled", "rcc_id": next_id, "settle_date": start}],
+        )
+        code, _ = run_cli(
+            "ingest", "append", "--wal", str(wal), "--events", stale, "--data", data_dir
+        )
+        assert code == 1
+        assert wal.read_bytes() == before
+
+        valid = self.write_events(
+            tmp_path / "valid.jsonl",
+            [{"kind": "rcc_settled", "rcc_id": next_id, "settle_date": start + 8}],
+        )
+        code, lines = run_cli(
+            "ingest", "append", "--wal", str(wal), "--events", valid, "--data", data_dir
+        )
+        assert code == 0
+        assert lines[-1]["first_seq"] == 2 and lines[-1]["last_seq"] == 2
+
+    def test_events_header_bootstraps_and_no_source_is_refused(self, tmp_path):
+        from repro.data import SyntheticNmdConfig, generate_dataset
+        from repro.stream import dataset_to_events, event_to_dict
+
+        dataset = generate_dataset(
+            SyntheticNmdConfig(n_ships=3, n_closed_avails=4, n_ongoing_avails=1,
+                               target_n_rccs=60, seed=4)
+        )
+        header, events = dataset_to_events(dataset)
+        payload = [event_to_dict(event) for event in events]
+        wal = tmp_path / "wal.jsonl"
+        with_header = self.write_events(tmp_path / "stream.jsonl", payload, header)
+        code, lines = run_cli("ingest", "append", "--wal", str(wal), "--events", with_header)
+        assert code == 0 and lines[-1]["appended"] == len(payload)
+
+        headerless = self.write_events(tmp_path / "bare.jsonl", payload[:1])
+        code, lines = run_cli("ingest", "append", "--wal", str(wal), "--events", headerless)
+        assert code == 1
+        assert "needs a bootstrap source" in lines[-1]["error"]["message"]
+
+
 class TestCliFit:
     def test_fit_final_config(self, cli_env, tmp_path):
         data_dir, _ = cli_env
