@@ -13,8 +13,8 @@ Commands mirror the deployment life cycle:
   (bounded queue via ``--queue-depth``, per-request budgets via
   ``--deadline-ms``); responses stay in submission order.
   ``--follow WAL`` tails a write-ahead log in the background, applying
-  fresh RCC events to live indexes between requests (see
-  ``docs/streaming.md``).
+  fresh RCC events to the store and refreshing the features they touch
+  between requests (see ``docs/streaming.md``).
 * ``ingest``   — streaming ingestion: ``append`` writes a stream file
   into a durable WAL; ``replay`` rebuilds state from a WAL (optionally
   restoring a snapshot first), with ``--verify`` diffing the live
@@ -243,13 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(--listen mode only, default 2)",
     )
     serve.add_argument(
-        "--vnodes",
-        type=int,
-        default=256,
-        help="virtual nodes per shard on the consistent-hash ring "
-        "(default 256)",
-    )
-    serve.add_argument(
         "--wal-dir",
         metavar="DIR",
         help="per-shard write-ahead logs under DIR, enabling the "
@@ -281,20 +274,14 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--follow",
         metavar="WAL",
-        help="tail a WAL in the background, applying fresh events to live "
-        "indexes and re-binding the service between requests",
+        help="tail a WAL in the background, applying fresh events to the "
+        "store and refreshing the features they touch between requests",
     )
     serve.add_argument(
         "--follow-poll-ms",
         type=float,
         default=200.0,
         help="WAL poll interval in milliseconds (default 200)",
-    )
-    serve.add_argument(
-        "--follow-designs",
-        metavar="D1,D2,...",
-        default="avl",
-        help="comma-separated index designs maintained live (default avl)",
     )
     serve.add_argument(
         "--workers",
@@ -728,32 +715,23 @@ def _cmd_serve(args, out: IO[str], stdin: IO[str], context: ExecutionContext) ->
     deadline_ms = getattr(args, "deadline_ms", None)
 
     # Live ingestion: tail a WAL on a background thread; every applied
-    # batch refreshes the indexes and the feature rows of the avails it
-    # touched, all under the write side of a gate the query paths
-    # read-lock.
+    # batch refreshes the feature rows of the avails it touched, under
+    # the write side of a gate the query paths read-lock.
     gate = None
     follower = None
     if getattr(args, "follow", None):
         from repro.runtime.concurrency import ReadWriteGate
         from repro.stream import StreamIngestor, StreamingRccStore, WalFollower
 
-        designs = [
-            part.strip()
-            for part in getattr(args, "follow_designs", "avl").split(",")
-            if part.strip()
-        ]
-        ingestor = StreamIngestor(
-            StreamingRccStore.from_dataset(dataset),
-            designs=designs or ("avl",),
-            context=context,
+        service.ingest = StreamIngestor(
+            StreamingRccStore.from_dataset(dataset), context=context
         )
         gate = ReadWriteGate()
-        service.ingest = ingestor
         follower = WalFollower(
-            ingestor,
+            service.ingest,
             args.follow,
             gate=gate,
-            on_batch=lambda ing: service.rebind(ing.take_touched()),
+            apply=service.apply,
             poll_interval=max(getattr(args, "follow_poll_ms", 200.0), 1.0) / 1000.0,
         )
         follower.start()
@@ -861,7 +839,6 @@ def _cmd_serve_fleet(args, out: IO[str], context: ExecutionContext) -> int:
         model=args.model,
         data=args.data,
         shards=max(getattr(args, "shards", 2), 1),
-        vnodes=getattr(args, "vnodes", 256),
         wal_dir=getattr(args, "wal_dir", None),
         deadline_ms=getattr(args, "deadline_ms", None),
         host=host,

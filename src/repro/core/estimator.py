@@ -427,13 +427,12 @@ class DomdEstimator:
         window_index = self.timeline.window_index(t_star)
         X_static = self._X_static[row]
         X_dyn = self._tensor.gather(row)[:, window_index, :]
+        base_pred = self._model_set.base_predict(X_static)
         contributions, names = self._model_set.contributions_at(
-            X_static, X_dyn, window_index
+            X_static, X_dyn, window_index, base_pred=base_pred
         )
         window = self._model_set.windows[window_index]
-        design = self._model_set._design(
-            X_static, X_dyn, window.selected, self._model_set.base_predict(X_static)
-        )
+        design = self._model_set._design(X_static, X_dyn, window.selected, base_pred)
         per_feature = contributions[0, :-1]
         order = np.argsort(np.abs(per_feature))[::-1][:top]
         return [

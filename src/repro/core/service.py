@@ -43,8 +43,7 @@ hands over the submitter's :class:`TraceContext`) to parent the trace.
 
 **Provenance.**  Every ok envelope carries a ``provenance`` stamp — the
 model/config content hashes, the feature-tensor cache key (data
-vintage), the serving watermark and maintained index designs when live
-ingestion backs the service, the planner's per-request index choice,
+vintage), the serving watermark when live ingestion backs the service,
 and the request's ``trace_id``.  The same stamp (minus the trace id) is
 emitted as a ``provenance`` event, so ``repro telemetry trace`` can
 walk any response back to the WAL appends that fed it.
@@ -70,7 +69,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -156,10 +155,11 @@ class DomdService:
         #: service is pooled; ``health`` and telemetry expositions then
         #: include the pool's saturation gauges.
         self.pool: Any = None
-        #: Set by the ``serve --follow`` path when a live
-        #: :class:`~repro.stream.ingest.StreamIngestor` backs this
+        #: Set by a WAL-backed shard or the ``serve --follow`` path when
+        #: a live :class:`~repro.stream.ingest.StreamIngestor` backs this
         #: service; ok responses then carry the watermark they answered
-        #: at, and health/metrics gain ingestion gauges.
+        #: at, health/metrics gain ingestion gauges, and :meth:`apply`
+        #: feeds it.
         self.ingest: Any = None
 
     # ------------------------------------------------------------------
@@ -215,7 +215,7 @@ class DomdService:
                     # to this seq is visible to the answer above.
                     response["watermark"] = self.ingest.watermark
                 response["provenance"] = self._provenance_stamp(
-                    telemetry, captured.report, request_type
+                    telemetry, request_type
                 )
                 if request.get("timings"):
                     response["timings"] = captured.report.as_dict()
@@ -242,9 +242,7 @@ class DomdService:
                     f" ({type(exc).__name__})",
                 )
 
-    def _provenance_stamp(
-        self, telemetry: Any, report: Any, request_type: str
-    ) -> dict[str, Any]:
+    def _provenance_stamp(self, telemetry: Any, request_type: str) -> dict[str, Any]:
         """The stamp every ok envelope carries: what produced this answer.
 
         All fields except ``trace_id`` are deterministic functions of the
@@ -254,14 +252,6 @@ class DomdService:
         stamp: dict[str, Any] = dict(self._estimator.provenance())
         if self.ingest is not None:
             stamp["watermark"] = self.ingest.watermark
-            stamp["designs"] = sorted(self.ingest.adapters)
-        # The planner's per-request index choice, when a Status Query
-        # with design="auto" ran inside this request's capture window.
-        prefix = "planner.chosen."
-        for name, delta in sorted(report.counters.items()):
-            if name.startswith(prefix) and delta:
-                stamp["planner_design"] = name[len(prefix):]
-                break
         if telemetry is not None:
             # Logged before trace_id joins the stamp: the event already
             # carries the trace id, and the logged fields stay the
@@ -433,6 +423,26 @@ class DomdService:
         return response
 
     # ------------------------------------------------------------------
+    def apply(self, records: Sequence[Any]) -> dict[str, Any]:
+        """Apply WAL records to :attr:`ingest`, then serve what they moved.
+
+        The one write path of live serving: shard ``ingest``, shard
+        start-up replay and ``serve --follow`` all call it.  Whenever the
+        watermark moved — even when a record failed part way and the
+        error propagates — :meth:`rebind` refreshes the avails the
+        applied prefix touched, so an answer stamped with watermark *w*
+        reflects every record <= *w*.  A batch that moves the watermark
+        but touches no avail still re-stamps ``feature_key``.  **Must
+        be called under the write side of the serving gate** once
+        requests can run.
+        """
+        watermark = self.ingest.watermark
+        try:
+            return self.ingest.apply_batch(records)
+        finally:
+            if self.ingest.watermark != watermark:
+                self.rebind(self.ingest.take_touched())
+
     def rebind(self, touched: Iterable[int]) -> None:
         """Serve the live state of :attr:`ingest` at its watermark.
 

@@ -255,18 +255,23 @@ class TimelineModelSet:
             return fusion.fuse_progressive(raw, self.config.fusion)
 
     def contributions_at(
-        self, X_static: np.ndarray, X_dyn: np.ndarray, window_index: int
+        self,
+        X_static: np.ndarray,
+        X_dyn: np.ndarray,
+        window_index: int,
+        base_pred: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[str]]:
         """Per-sample feature contributions of one window's model.
 
         Returns ``(contributions (n, p_design + 1), design names)``; the
-        last contribution column is the bias.
+        last contribution column is the bias.  ``base_pred`` is as in
+        :meth:`predict_window`.
         """
         self._check_fitted()
         window = self._windows[window_index]
-        design = self._design(
-            X_static, X_dyn, window.selected, self.base_predict(X_static)
-        )
+        if base_pred is None:
+            base_pred = self.base_predict(X_static)
+        design = self._design(X_static, X_dyn, window.selected, base_pred)
         return (
             window.model.contributions(design),
             self._design_names(window.selected),

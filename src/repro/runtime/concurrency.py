@@ -248,9 +248,6 @@ class ReadWriteGate:
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-        #: Lifetime acquisition counters (exposed via pool/ingest status).
-        self.reads = 0
-        self.writes = 0
 
     @contextmanager
     def read(self) -> Iterator[None]:
@@ -258,7 +255,6 @@ class ReadWriteGate:
             while self._writer or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
-            self.reads += 1
         try:
             yield
         finally:
@@ -275,20 +271,9 @@ class ReadWriteGate:
                 self._cond.wait()
             self._writers_waiting -= 1
             self._writer = True
-            self.writes += 1
         try:
             yield
         finally:
             with self._cond:
                 self._writer = False
                 self._cond.notify_all()
-
-    def status(self) -> dict[str, int]:
-        with self._cond:
-            return {
-                "readers": self._readers,
-                "writer": int(self._writer),
-                "writers_waiting": self._writers_waiting,
-                "reads": self.reads,
-                "writes": self.writes,
-            }

@@ -27,8 +27,7 @@ from typing import Any
 
 from repro.serve.client import FrameClient
 from repro.serve.frontend import FleetFrontend
-from repro.serve.framing import MAX_FRAME_BYTES
-from repro.serve.ring import DEFAULT_VNODES, ConsistentHashRing
+from repro.serve.ring import ConsistentHashRing
 from repro.serve.router import RoutingTable, ShardRouter
 from repro.serve.supervisor import ShardSupervisor
 
@@ -42,11 +41,8 @@ def build_shard_specs(
     model: str,
     data: str,
     shard_ids: tuple[int, ...],
-    vnodes: int = DEFAULT_VNODES,
     wal_dir: str | None = None,
-    designs: tuple[str, ...] = ("avl",),
     events_dir: str | None = None,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
 ) -> dict[int, dict[str, Any]]:
     """One picklable assembly spec per shard (shared model artefact)."""
     specs: dict[int, dict[str, Any]] = {}
@@ -54,14 +50,11 @@ def build_shard_specs(
         spec: dict[str, Any] = {
             "shard_id": int(shard_id),
             "shard_ids": list(shard_ids),
-            "vnodes": int(vnodes),
             "model": model,
             "data": data,
-            "max_frame_bytes": int(max_frame_bytes),
         }
         if wal_dir:
             spec["wal_path"] = shard_wal_path(wal_dir, shard_id)
-            spec["designs"] = list(designs)
         if events_dir:
             spec["events_path"] = os.path.join(
                 events_dir, f"shard-{shard_id}.jsonl"
@@ -86,9 +79,7 @@ class FleetService:
         model: str,
         data: str,
         shards: int = 2,
-        vnodes: int = DEFAULT_VNODES,
         wal_dir: str | None = None,
-        designs: tuple[str, ...] = ("avl",),
         deadline_ms: float | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -111,15 +102,9 @@ class FleetService:
         if events_dir:
             os.makedirs(events_dir, exist_ok=True)
         shard_ids = tuple(range(int(shards)))
-        self.ring = ConsistentHashRing(shard_ids, vnodes=vnodes)
+        self.ring = ConsistentHashRing(shard_ids)
         self.specs = build_shard_specs(
-            model,
-            data,
-            shard_ids,
-            vnodes=vnodes,
-            wal_dir=wal_dir,
-            designs=designs,
-            events_dir=events_dir,
+            model, data, shard_ids, wal_dir=wal_dir, events_dir=events_dir
         )
         self.supervisor = ShardSupervisor(self.specs, start_timeout=start_timeout)
         self.scatter_timeout = float(scatter_timeout)

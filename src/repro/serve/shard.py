@@ -64,7 +64,7 @@ from repro.serve.framing import (
     send_frame,
 )
 from repro.serve.partition import shard_dataset
-from repro.serve.ring import DEFAULT_VNODES, ConsistentHashRing
+from repro.serve.ring import ConsistentHashRing
 
 
 def _wire_deadline(request: dict[str, Any]) -> tuple[float | None, str | None]:
@@ -375,13 +375,7 @@ class ShardServer:
             ]
             try:
                 with self.gate.write():
-                    try:
-                        summary = self.ingestor.apply_batch(records)
-                    finally:
-                        # Even a half-applied batch refreshes what its
-                        # prefix touched: answers stamped with watermark
-                        # w reflect every record <= w.
-                        self.service.rebind(self.ingestor.take_touched())
+                    summary = self.service.apply(records)
             except ReproError as exc:
                 return error_envelope("domain_error", str(exc))
         return {
@@ -439,10 +433,12 @@ class ShardRuntime:
 def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     """Assemble a shard's full serving stack from a picklable spec.
 
-    Spec keys: ``shard_id``, ``shard_ids``, ``vnodes``, ``model``,
-    ``data``, optional ``wal_path``/``designs`` (live ingestion),
-    ``host``, ``port``, ``max_frame_bytes``, optional ``events_path``
-    (JSONL telemetry sink).
+    Spec keys: ``shard_id``, ``shard_ids``, ``model``, ``data``,
+    optional ``wal_path`` (live ingestion), ``host``, ``port``, optional
+    ``events_path`` (JSONL telemetry sink).  The ring uses
+    :data:`~repro.serve.ring.DEFAULT_VNODES` and the server
+    :data:`~repro.serve.framing.MAX_FRAME_BYTES`, as the front end does.
+    A live shard maintains its store and features, no index.
     """
     from repro.data import load_dataset
     from repro.persistence import load_estimator
@@ -452,9 +448,7 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     context = ExecutionContext()
     if spec.get("events_path"):
         context.telemetry.add_sink(JsonlEventLog(spec["events_path"]))
-    ring = ConsistentHashRing(
-        spec["shard_ids"], vnodes=spec.get("vnodes", DEFAULT_VNODES)
-    )
+    ring = ConsistentHashRing(spec["shard_ids"])
     full = load_dataset(spec["data"])
     slice_ = shard_dataset(full, ring, int(spec["shard_id"]))
     estimator = load_estimator(spec["model"], slice_, context=context)
@@ -465,20 +459,16 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     wal = None
     if spec.get("wal_path"):
         from repro.stream import StreamIngestor, StreamingRccStore
-        from repro.stream.wal import WalWriter
+        from repro.stream.wal import WalWriter, read_wal
 
         ingestor = StreamIngestor(
-            StreamingRccStore.from_dataset(slice_),
-            designs=tuple(spec.get("designs") or ("avl",)),
-            context=context,
+            StreamingRccStore.from_dataset(slice_), context=context
         )
         service.ingest = ingestor
         # Recovery: truncate any torn tail, then replay everything the
         # WAL acknowledged before the previous process died.
         wal = WalWriter(spec["wal_path"], telemetry=context.telemetry)
-        replayed = ingestor.replay(spec["wal_path"])
-        if replayed["applied"]:
-            service.rebind(ingestor.take_touched())
+        service.apply(read_wal(spec["wal_path"]).records)
         assert ingestor.watermark == wal.last_seq, (
             f"shard {spec['shard_id']} recovery gap: watermark "
             f"{ingestor.watermark} != WAL end {wal.last_seq}"
@@ -492,7 +482,6 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
         wal=wal,
         host=spec.get("host", "127.0.0.1"),
         port=int(spec.get("port", 0)),
-        max_frame_bytes=int(spec.get("max_frame_bytes", MAX_FRAME_BYTES)),
     )
     return ShardRuntime(
         server=server,

@@ -1,10 +1,10 @@
 """Background WAL tailing for live serving (``repro serve --follow``).
 
 :class:`WalFollower` polls a WAL file on a daemon thread and pushes
-fresh records through a :class:`~repro.stream.ingest.StreamIngestor`.
-All mutation — index maintenance *and* the service's feature refresh
-for the avails a batch touched (``DomdService.rebind``) — happens under
-the write side of a :class:`~repro.runtime.concurrency.ReadWriteGate`,
+fresh records through one apply call: the ingestor's own, or, on the
+serve path, ``DomdService.apply``, which also refreshes the service's
+features for the avails a batch touched.  Each call runs under the
+write side of a :class:`~repro.runtime.concurrency.ReadWriteGate`,
 while query workers hold the read side, so a request never observes a
 half-applied batch.
 
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.stream.ingest import StreamIngestor
-from repro.stream.wal import read_wal
+from repro.stream.wal import WalRecord, read_wal
 
 #: Alert condition held while the follower's polls fail.
 STUCK_ALERT = "ingest:follower_stuck"
@@ -45,11 +45,12 @@ class WalFollower(threading.Thread):
     gate:
         Optional read/write gate; each batch is applied under
         ``gate.write()``.
-    on_batch:
-        Optional callback invoked *inside* the write section after each
-        batch that moved the watermark — even one that failed part way —
-        (the serve path uses it to refresh the service's features for
-        the avails the batch touched).
+    apply:
+        The call each batch of records goes through, returning the
+        ingestor's batch summary; defaults to ``ingestor.apply_batch``.
+        The serve path passes ``DomdService.apply``, which refreshes the
+        service's features whenever the batch moved the watermark, even
+        when it failed part way.
     poll_interval:
         Seconds between WAL polls when no fresh records are found.
     """
@@ -59,7 +60,7 @@ class WalFollower(threading.Thread):
         ingestor: StreamIngestor,
         wal_path: str,
         gate: Any | None = None,
-        on_batch: Callable[[StreamIngestor], None] | None = None,
+        apply: Callable[[Sequence[WalRecord]], dict[str, Any]] | None = None,
         poll_interval: float = 0.2,
         batch_size: int = 256,
     ):
@@ -71,7 +72,7 @@ class WalFollower(threading.Thread):
         self.ingestor = ingestor
         self.wal_path = str(wal_path)
         self.gate = gate
-        self.on_batch = on_batch
+        self.apply = apply if apply is not None else ingestor.apply_batch
         self.poll_interval = float(poll_interval)
         self.batch_size = int(batch_size)
         self.batches_applied = 0
@@ -103,17 +104,8 @@ class WalFollower(threading.Thread):
             return 0
         applied = 0
         for lo in range(0, len(result.records), self.batch_size):
-            chunk = result.records[lo : lo + self.batch_size]
             with self._write_scope():
-                watermark = self.ingestor.watermark
-                try:
-                    summary = self.ingestor.apply_batch(chunk)
-                finally:
-                    if (
-                        self.ingestor.watermark != watermark
-                        and self.on_batch is not None
-                    ):
-                        self.on_batch(self.ingestor)
+                summary = self.apply(result.records[lo : lo + self.batch_size])
             if summary["applied"]:
                 applied += summary["applied"]
                 self.batches_applied += 1

@@ -1,9 +1,13 @@
-"""Stream ingestion driver: WAL records → store + live indexes.
+"""Stream ingestion: WAL records → store (+ the live indexes a caller names).
 
 :class:`StreamIngestor` ties the subsystem together.  It owns one
 :class:`~repro.stream.store.StreamingRccStore` (authoritative row state)
-and one :class:`~repro.stream.mutable.MutableIndexAdapter` per requested
-design, and advances them in lockstep batch by batch.
+and one :class:`~repro.stream.mutable.MutableIndexAdapter` per design
+its caller names, and advances them in lockstep batch by batch.  It
+names none by default: a served answer reads the feature tensor, never
+an index, so the serving paths (fleet shards, ``serve --follow``)
+maintain the store alone; ``repro ingest`` maintains the designs it is
+given, for ``--verify`` and stream snapshots.
 
 **Watermark semantics.**  The watermark is the highest WAL sequence
 number whose effects are fully applied to store *and* every index; it
@@ -11,8 +15,8 @@ moves monotonically, once per applied batch.  Records at or below the
 watermark are skipped idempotently (so replaying an overlapping WAL
 range — the normal recovery path — is harmless), and a batch that jumps
 the sequence raises rather than silently leaving a gap.  Queries answer
-"as of watermark w": the adapters carry ``w`` so EXPLAIN plans and
-service responses can stamp it.
+"as of watermark w": the adapters carry ``w`` so EXPLAIN plans can
+stamp it, and service responses stamp the ingestor's own.
 
 **Touched avails.**  Every applied event that changed an avail's state
 adds that avail to a pending set, which :meth:`StreamIngestor.take_touched`
@@ -29,14 +33,14 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamStateError
-from repro.index.status_query import StatusQueryEngine
 from repro.runtime.context import ExecutionContext
 from repro.stream.mutable import _DESIGNS, MutableIndexAdapter
 from repro.stream.store import StreamingRccStore
 from repro.stream.wal import WalRecord, read_wal
 
-#: Designs maintained when the caller does not choose.
-DEFAULT_DESIGNS = ("avl",)
+#: Designs maintained when the caller does not choose: none, since no
+#: served answer reads an index.
+DEFAULT_DESIGNS: tuple[str, ...] = ()
 
 #: Histogram of event-appended→queryable latency (the freshness SLI).
 FRESHNESS_HISTOGRAM = "freshness.event_to_queryable"
@@ -61,7 +65,7 @@ def _traceparent_runs(
 
 
 class StreamIngestor:
-    """Applies WAL batches to a store and its live index adapters."""
+    """Applies WAL batches to a store and the index adapters of ``designs``."""
 
     def __init__(
         self,
@@ -72,8 +76,6 @@ class StreamIngestor:
         watermark: int = 0,
         clock: Callable[[], float] = time.time,
     ):
-        if not designs:
-            raise ConfigurationError("ingestor needs at least one index design")
         unknown = sorted(set(designs) - set(_DESIGNS))
         if unknown:
             raise ConfigurationError(
@@ -289,28 +291,6 @@ class StreamIngestor:
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
-    def engine(
-        self, design: str | None = None, context: ExecutionContext | None = None
-    ) -> StatusQueryEngine:
-        """A fresh StatusQueryEngine over the current state.
-
-        Engines are cheap views — build a fresh one per query batch, as
-        the engine caches group tables that would go stale under further
-        ingestion.
-        """
-        if design is None:
-            design = next(iter(self.adapters))
-        adapter = self.adapters.get(design)
-        if adapter is None:
-            raise ConfigurationError(
-                f"design {design!r} is not maintained; have {sorted(self.adapters)}"
-            )
-        return StatusQueryEngine(
-            self.store.engine_table(),
-            context=context if context is not None else self.context,
-            index=adapter,
-        )
-
     def dataset(self):
         """Current state as a whole static snapshot dataset.
 

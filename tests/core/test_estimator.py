@@ -238,6 +238,49 @@ class TestStackedBasePrediction:
                 answer.fused_estimates.view(np.int64), expected[i].view(np.int64)
             )
 
+    def test_explain_predicts_the_base_model_once(self, stacked, monkeypatch):
+        from repro.ml.gbm import GradientBoostedTrees
+
+        estimator, splits = stacked
+        model_set = estimator._model_set
+        base = model_set._base_model._fitted()
+        avail_id, t_star = int(splits.test_ids[0]), 55.0
+        row = estimator._tensor.rows_for(np.array([avail_id]))
+        window_index = estimator.timeline.window_index(t_star)
+        X_static = estimator._X_static[row]
+        X_dyn = estimator._tensor.gather(row)[:, window_index, :]
+        contributions, names = model_set.contributions_at(
+            X_static, X_dyn, window_index
+        )
+        design = model_set._design(
+            X_static,
+            X_dyn,
+            model_set.windows[window_index].selected,
+            model_set.base_predict(X_static),
+        )
+        base_calls = []
+        predict = GradientBoostedTrees.predict
+
+        def counted(self, X):
+            if self is base:
+                base_calls.append(len(X))
+            return predict(self, X)
+
+        monkeypatch.setattr(GradientBoostedTrees, "predict", counted)
+        explained = estimator.explain(avail_id, t_star, top=4)
+        assert base_calls == [1]
+        monkeypatch.undo()
+        per_feature = contributions[0, :-1]
+        order = np.argsort(np.abs(per_feature))[::-1][:4]
+        assert [c.name for c in explained] == [names[i] for i in order]
+        for item, i in zip(explained, order):
+            assert np.float64(item.contribution).view(np.int64) == (
+                per_feature[i].view(np.int64)
+            )
+            assert np.float64(item.value).view(np.int64) == (
+                design[0, i].view(np.int64)
+            )
+
     def test_evaluate_matches_per_window_base_predictions(self, stacked):
         from repro.ml.metrics import metric_suite
 

@@ -198,7 +198,7 @@ class TestProvenanceStamp:
     differ between identical requests."""
 
     REQUIRED = {"model_hash", "config_hash", "feature_key", "trace_id"}
-    OPTIONAL = {"watermark", "designs", "planner_design"}
+    OPTIONAL = {"watermark"}
 
     def test_ok_envelope_key_set_is_pinned(self, service):
         response = service.handle(

@@ -10,6 +10,7 @@ later queries see the refreshed dataset.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def live_events(dataset, n: int = 6) -> list[dict]:
         }
         for i in range(n)
     ]
+
+
+class CountingGate(ReadWriteGate):
+    """A gate that counts its write sections."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    @contextmanager
+    def write(self):
+        self.writes += 1
+        with super().write():
+            yield
 
 
 def make_service(dataset, splits, estimator):
@@ -132,18 +147,13 @@ class TestWalFollowing:
     def test_poll_once_applies_and_rebinds_under_gate(self, fitted, tmp_path):
         dataset, splits, estimator = fitted
         service, ingestor, _ = make_service(dataset, splits, estimator)
-        gate = ReadWriteGate()
+        gate = CountingGate()
         wal = tmp_path / "wal.jsonl"
         events = live_events(dataset, n=5)
         with WalWriter(wal) as writer:
             writer.append_batch(events)
 
-        follower = WalFollower(
-            ingestor,
-            wal,
-            gate=gate,
-            on_batch=lambda ing: service.rebind(ing.take_touched()),
-        )
+        follower = WalFollower(ingestor, wal, gate=gate, apply=service.apply)
         applied = follower.poll_once()
         assert applied == 5
         assert ingestor.watermark == 5
@@ -186,16 +196,47 @@ class TestWalFollowing:
                 ]
             )
         refreshed = []
-        follower = WalFollower(
-            ingestor,
-            wal,
-            on_batch=lambda ing: refreshed.append(
-                (ing.watermark, ing.take_touched())
-            ),
-        )
+        rebind = service.rebind
+
+        def recording_rebind(touched):
+            refreshed.append((ingestor.watermark, touched))
+            rebind(touched)
+
+        service.rebind = recording_rebind
+        follower = WalFollower(ingestor, wal, apply=service.apply)
         with pytest.raises(StreamStateError, match="before its creation day"):
             follower.poll_once()
         assert refreshed == [(1, {create["avail_id"]})]
+
+    def test_duplicate_only_batch_restamps_the_feature_key(self, fitted):
+        """A batch of duplicates touches no avail but moves the
+        watermark: answers re-stamp ``feature_key`` at the new watermark
+        and are otherwise unchanged."""
+        from repro.stream import WalRecord
+
+        dataset, splits, estimator = fitted
+        service, ingestor, _ = make_service(dataset, splits, estimator)
+        create = live_events(dataset, n=1)[0]
+        query = {
+            "type": "domd_query",
+            "avail_ids": [create["avail_id"]],
+            "t_star": 50.0,
+        }
+        service.apply([WalRecord(seq=1, event=create)])
+        first = service.handle(query)
+        summary = service.apply([WalRecord(seq=2, event=create)])
+        assert summary["applied"] == 1 and ingestor.watermark == 2
+        assert ingestor.store.counts["duplicates"] == 1
+        second = service.handle(query)
+        assert first["provenance"]["feature_key"].endswith("@1")
+        assert second["provenance"]["feature_key"] == (
+            first["provenance"]["feature_key"][: -len("@1")] + "@2"
+        )
+        assert second["result"] == first["result"]
+        # nothing moved: no refresh, the same estimator keeps serving
+        served = service._estimator
+        assert service.apply([WalRecord(seq=2, event=create)])["applied"] == 0
+        assert service._estimator is served
 
     def test_wedged_follower_alerts_until_it_applies_again(self, fitted, tmp_path):
         """The half-applied wedge above, driven through the follower
@@ -217,10 +258,7 @@ class TestWalFollowing:
                 [create, dict(settle, settle_date=create["create_date"] - 5)]
             )
         follower = WalFollower(
-            ingestor,
-            wal,
-            on_batch=lambda ing: service.rebind(ing.take_touched()),
-            poll_interval=0.01,
+            ingestor, wal, apply=service.apply, poll_interval=0.01
         )
         follower.start()
         try:
