@@ -5,12 +5,12 @@ bench harness, CI smoke) build: given a model artefact, a dataset path
 and a shard count, it
 
 1. derives one spec per shard (shared model, per-shard WAL under
-   ``wal_dir``) and spawns the shard processes via the
+   ``wal_dir``) and spawns every shard process at once via the
    :class:`~repro.serve.supervisor.ShardSupervisor`;
-2. loads the dataset *once* in the front-end process to seed the
-   :class:`~repro.serve.router.RoutingTable` (avail → ship, rcc →
-   avail), recovering routes grown by previous runs from the shards'
-   WALs;
+2. while the shards load, loads the dataset *once* in the front-end
+   process to seed the :class:`~repro.serve.router.RoutingTable`
+   (avail → ship, rcc → avail), recovering routes grown by previous
+   runs from the shards' WALs, then takes the shards' handshakes;
 3. wires a :class:`~repro.serve.router.ShardRouter` over per-shard
    :class:`~repro.serve.client.FrameClient` pools; and
 4. fronts it with the :class:`~repro.serve.frontend.FleetFrontend`.
@@ -124,10 +124,16 @@ class FleetService:
         return self.frontend.port
 
     def start(self) -> int:
-        """Spawn shards, build routing, open the front door; returns port."""
+        """Start the fleet and open the front door; returns its port.
+
+        In order: spawn every shard; build the routing table (dataset
+        load plus WAL route recovery) while the shards load; take the
+        shards' handshakes in shard-id order; then wire the router and
+        open the front door.  A failure at any step stops every shard.
+        """
         from repro.data import load_dataset
 
-        ports = self.supervisor.start()
+        self.supervisor.spawn()
         try:
             dataset = load_dataset(self.data)
             self.routing = RoutingTable(dataset, self.ring)
@@ -141,6 +147,7 @@ class FleetService:
                 ]
                 if existing:
                     self.routing.recover_from_wals(existing)
+            ports = self.supervisor.wait_ready()
             clients = {
                 shard_id: FrameClient(
                     self.host, ports[shard_id], timeout=self.scatter_timeout

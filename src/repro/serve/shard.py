@@ -459,16 +459,17 @@ def build_shard_runtime(spec: dict[str, Any]) -> ShardRuntime:
     wal = None
     if spec.get("wal_path"):
         from repro.stream import StreamIngestor, StreamingRccStore
-        from repro.stream.wal import WalWriter, read_wal
+        from repro.stream.wal import WalWriter
 
         ingestor = StreamIngestor(
             StreamingRccStore.from_dataset(slice_), context=context
         )
         service.ingest = ingestor
         # Recovery: truncate any torn tail, then replay everything the
-        # WAL acknowledged before the previous process died.
+        # WAL acknowledged before the previous process died, from the
+        # one read the writer made to find the log's end.
         wal = WalWriter(spec["wal_path"], telemetry=context.telemetry)
-        service.apply(read_wal(spec["wal_path"]).records)
+        service.apply(wal.take_recovered())
         assert ingestor.watermark == wal.last_seq, (
             f"shard {spec['shard_id']} recovery gap: watermark "
             f"{ingestor.watermark} != WAL end {wal.last_seq}"

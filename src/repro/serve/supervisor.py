@@ -9,6 +9,11 @@ handshake: ``("ready", port)`` once its server is listening, or
 (``port=0``); the front-end's router is re-pointed after every
 (re)start via :meth:`ShardRouter.reconnect`.
 
+A fleet starts its shards together: :meth:`ShardSupervisor.spawn`
+launches every process, then :meth:`ShardSupervisor.wait_ready` takes
+the handshakes in shard-id order, so the model loads and WAL replays
+overlap while failure attribution stays deterministic.
+
 Restart semantics are the durability story's other half: a shard killed
 hard (``kill_shard`` is SIGKILL — the CI smoke uses it mid-workload)
 replays its WAL during :func:`~repro.serve.shard.build_shard_runtime`,
@@ -33,15 +38,27 @@ class ShardStartupError(ReproError):
 
 
 class _Managed:
-    """Book-keeping for one supervised shard process."""
+    """Book-keeping for one supervised shard process.
 
-    __slots__ = ("spec", "process", "port", "restarts")
+    ``conn`` is the handshake pipe, open from spawn until the handshake
+    is taken; ``spawned_at`` (monotonic) starts the shard's timeout.
+    """
+
+    __slots__ = ("spec", "process", "conn", "spawned_at", "port", "restarts")
 
     def __init__(self, spec: dict[str, Any]):
         self.spec = spec
         self.process: Any | None = None
+        self.conn: Any | None = None
+        self.spawned_at = 0.0
         self.port: int | None = None
         self.restarts = 0
+
+    def forget(self) -> None:
+        """Drop the process handle (already stopped) and its pipe."""
+        if self.conn is not None:
+            self.conn.close()
+        self.process = self.conn = self.port = None
 
 
 class ShardSupervisor:
@@ -53,8 +70,8 @@ class ShardSupervisor:
         ``{shard_id: spec}`` — the picklable assembly spec
         :func:`~repro.serve.shard.build_shard_runtime` consumes.
     start_timeout:
-        Seconds to wait for a shard's ready handshake (model loading
-        dominates; WAL replay extends it after a crash).
+        Seconds from a shard's spawn to its ready handshake (model
+        loading dominates; WAL replay extends it after a crash).
     """
 
     def __init__(
@@ -71,12 +88,6 @@ class ShardSupervisor:
     @property
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._managed))
-
-    def port_of(self, shard_id: int) -> int:
-        port = self._managed[shard_id].port
-        if port is None:
-            raise ShardStartupError(f"shard {shard_id} is not running")
-        return port
 
     def ports(self) -> dict[int, int]:
         return {
@@ -95,60 +106,105 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def start(self) -> dict[int, int]:
+        """Start every shard; returns ``{shard_id: port}``.
+
+        :meth:`spawn` then :meth:`wait_ready`: the shards start together
+        and their handshakes are taken in shard-id order.
+        """
+        self.spawn()
+        return self.wait_ready()
+
+    def spawn(self) -> None:
+        """Launch every shard process without waiting for a handshake.
+
+        A failure kills every shard already spawned.
+        """
+        try:
+            for shard_id in self.shard_ids:
+                self._spawn(shard_id)
+        except BaseException:
+            self.stop_all(graceful=False)
+            raise
+
+    def wait_ready(self) -> dict[int, int]:
+        """Take every spawned shard's handshake, in shard-id order.
+
+        Each shard has ``start_timeout`` seconds from its own spawn.  The
+        first failure in that order — so the lowest failing shard id —
+        kills every spawned shard and raises its
+        :class:`ShardStartupError`, with the child traceback when the
+        shard reported one.  Returns ``{shard_id: port}``.
+        """
+        try:
+            for shard_id in self.shard_ids:
+                self._handshake(shard_id)
+        except BaseException:
+            self.stop_all(graceful=False)
+            raise
+        return self.ports()
+
     def start_shard(self, shard_id: int) -> int:
         """Spawn one shard and wait for its ready handshake; returns port."""
+        self._spawn(shard_id)
+        return self._handshake(shard_id)
+
+    def _spawn(self, shard_id: int) -> None:
         managed = self._managed[shard_id]
         if managed.process is not None and managed.process.is_alive():
             raise ShardStartupError(f"shard {shard_id} is already running")
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        # ``shard_entry`` is looked up here, at call time, so a process
+        # that swaps the module attribute changes what every shard runs.
         process = self._ctx.Process(
             target=shard_entry,
             args=(managed.spec, child_conn),
             name=f"repro-shard-{shard_id}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()  # the child's end lives in the child now
         try:
-            if not parent_conn.poll(self.start_timeout):
-                process.kill()
-                process.join(5.0)
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()  # the child's end lives in the child now
+        managed.process = process
+        managed.conn = parent_conn
+        managed.spawned_at = time.monotonic()
+
+    def _handshake(self, shard_id: int) -> int:
+        """Wait for a spawned shard's handshake; on failure, kill it."""
+        managed = self._managed[shard_id]
+        process, conn = managed.process, managed.conn
+        if process is None or conn is None:
+            raise ShardStartupError(f"shard {shard_id} was not spawned")
+        remaining = managed.spawned_at + self.start_timeout - time.monotonic()
+        try:
+            if not conn.poll(max(0.0, remaining)):
                 raise ShardStartupError(
                     f"shard {shard_id} did not report ready within "
                     f"{self.start_timeout:.0f}s"
                 )
-            status, detail = parent_conn.recv()
-        except EOFError:
-            process.join(5.0)
-            raise ShardStartupError(
-                f"shard {shard_id} exited before its handshake "
-                f"(exitcode {process.exitcode})"
-            ) from None
-        finally:
-            parent_conn.close()
-        if status != "ready":
-            process.join(5.0)
-            raise ShardStartupError(
-                f"shard {shard_id} failed to start:\n{detail}"
-            )
-        managed.process = process
+            try:
+                status, detail = conn.recv()
+            except EOFError:
+                process.join(5.0)
+                raise ShardStartupError(
+                    f"shard {shard_id} exited before its handshake "
+                    f"(exitcode {process.exitcode})"
+                ) from None
+            if status != "ready":
+                raise ShardStartupError(
+                    f"shard {shard_id} failed to start:\n{detail}"
+                )
+        except BaseException:
+            self.kill_shard(shard_id)
+            raise
+        conn.close()
+        managed.conn = None
         managed.port = int(detail)
         return managed.port
-
-    def start(self) -> dict[int, int]:
-        """Start every shard; returns ``{shard_id: port}``.
-
-        Sequential on purpose: spawn + model load is CPU/IO-bound and
-        the deterministic order keeps failure attribution obvious.  Any
-        failure stops the fleet and tears down what already started.
-        """
-        try:
-            for shard_id in self.shard_ids:
-                self.start_shard(shard_id)
-        except ShardStartupError:
-            self.stop_all(graceful=False)
-            raise
-        return self.ports()
 
     def stop_shard(
         self, shard_id: int, graceful: bool = True, timeout: float = 10.0
@@ -173,8 +229,7 @@ class ShardSupervisor:
         if process.is_alive():
             process.kill()
             process.join(timeout)
-        managed.process = None
-        managed.port = None
+        managed.forget()
 
     def kill_shard(self, shard_id: int) -> None:
         """SIGKILL one shard — the crash the durability contract survives."""
@@ -184,8 +239,7 @@ class ShardSupervisor:
             return
         process.kill()
         process.join(10.0)
-        managed.process = None
-        managed.port = None
+        managed.forget()
 
     def restart_shard(self, shard_id: int, graceful: bool = False) -> int:
         """Bounce one shard; returns the new port (WAL replay included)."""
@@ -202,17 +256,6 @@ class ShardSupervisor:
         for shard_id in self.shard_ids:
             self.stop_shard(shard_id, graceful=graceful, timeout=timeout)
 
-    def reap(self) -> dict[int, int]:
-        """Exit codes of shards that died without being stopped."""
-        dead: dict[int, int] = {}
-        for shard_id, managed in self._managed.items():
-            process = managed.process
-            if process is not None and not process.is_alive():
-                dead[shard_id] = process.exitcode
-                managed.process = None
-                managed.port = None
-        return dead
-
     def __enter__(self) -> "ShardSupervisor":
         return self
 
@@ -222,19 +265,3 @@ class ShardSupervisor:
     def __repr__(self) -> str:
         up = sum(1 for shard_id in self.shard_ids if self.alive(shard_id))
         return f"ShardSupervisor({up}/{len(self.shard_ids)} shards up)"
-
-
-def wait_port_open(
-    host: str, port: int, timeout: float = 10.0, interval: float = 0.05
-) -> bool:
-    """Poll until a TCP connect succeeds (test/smoke convenience)."""
-    import socket
-
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=interval * 4):
-                return True
-        except OSError:
-            time.sleep(interval)
-    return False

@@ -187,8 +187,9 @@ class WalWriter:
     ----------
     path:
         WAL file; created (with parents) when missing.  An existing log
-        is scanned to resume the sequence; a torn tail left by a crash
-        is truncated before the first append.
+        is scanned to resume the sequence (its records stay available
+        to :meth:`take_recovered`); a torn tail left by a crash is
+        truncated before the first append.
     fsync_batches:
         Issue ``fsync`` every N batches.  1 (default) acknowledges every
         batch at the platter; larger values trade durability of the most
@@ -225,10 +226,20 @@ class WalWriter:
             # Drop the torn tail so fresh records never follow garbage.
             with self.path.open("r+b") as handle:
                 handle.truncate(existing.good_bytes)
+        self._recovered = existing.records
         self._next_seq = existing.last_seq + 1
         self._handle = self.path.open("ab")
         self._unsynced_batches = 0
         self._closed = False
+
+    def take_recovered(self) -> list[WalRecord]:
+        """The records the log held when this writer opened it.
+
+        A restarting owner replays these instead of reading the log a
+        second time.  Handed out once: the writer keeps no reference.
+        """
+        records, self._recovered = self._recovered, []
+        return records
 
     @property
     def next_seq(self) -> int:
