@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.data.schema import NavyMaintenanceDataset
 from repro.errors import SchemaError
+from repro.table import ColumnTable
 from repro.table.io import read_csv, write_csv
 
 _TABLES = ("ships", "avails", "rccs")
@@ -31,15 +32,25 @@ def save_dataset(dataset: NavyMaintenanceDataset, directory: str | Path) -> None
 def load_dataset(directory: str | Path) -> NavyMaintenanceDataset:
     """Read a dataset previously written by :func:`save_dataset`."""
     directory = Path(directory)
-    for table in _TABLES:
-        if not (directory / f"{table}.csv").exists():
-            raise SchemaError(f"missing {table}.csv in {directory}")
+    ships, avails, rccs = [_table_path(directory, table) for table in _TABLES]
     meta_path = directory / _META_FILE
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
     return NavyMaintenanceDataset(
-        ships=read_csv(directory / "ships.csv"),
-        avails=read_csv(directory / "avails.csv"),
-        rccs=read_csv(directory / "rccs.csv"),
+        ships=read_csv(ships),
+        avails=read_csv(avails),
+        rccs=read_csv(rccs),
         seed=meta.get("seed"),
         scaling_factor=meta.get("scaling_factor", 1),
     )
+
+
+def load_avails(directory: str | Path) -> ColumnTable:
+    """Read only the avails table of a dataset written by :func:`save_dataset`."""
+    return read_csv(_table_path(Path(directory), "avails"))
+
+
+def _table_path(directory: Path, table: str) -> Path:
+    path = directory / f"{table}.csv"
+    if not path.exists():
+        raise SchemaError(f"missing {table}.csv in {directory}")
+    return path

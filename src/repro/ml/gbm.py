@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.losses import Loss, make_loss
-from repro.ml.tree import RegressionTree, TreeParams
+from repro.ml.tree import RegressionTree, TreeParams, sort_columns
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ class GradientBoostedTrees:
         tree_params = self.params.tree_params()
         n_sub = max(int(round(self.params.subsample * n)), 2)
         n_cols = max(int(round(self.params.colsample * p)), 1)
+        # Every round splits the same rows of X: sort its columns once.
+        columns = sort_columns(X)
         for _ in range(self.params.n_estimators):
             g = self._loss.gradient(y, predictions)
             h = self._loss.hessian(y, predictions)
@@ -158,7 +160,7 @@ class GradientBoostedTrees:
                 if self.params.colsample < 1.0
                 else None
             )
-            tree = RegressionTree(tree_params).fit(X, g_fit, h_fit, features)
+            tree = RegressionTree(tree_params).fit(X, g_fit, h_fit, features, columns)
             self._trees.append(tree)
             predictions = predictions + self.params.learning_rate * tree.predict(X)
             self.train_losses_.append(self._loss.mean(y, predictions))

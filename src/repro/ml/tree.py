@@ -9,8 +9,13 @@ twice-differentiable loss:
 * leaf weight ``-G/(H+lambda)``
 
 The split search is vectorised **across all candidate features at once**
-(one argsort + cumulative sums per node), which keeps pure-numpy training
-fast on the paper's small-n / wide-p regime.
+(one sort + cumulative sums per node), which keeps pure-numpy training
+fast on the paper's small-n / wide-p regime.  As in XGBoost's exact
+method, the columns are sorted once per design matrix
+(:func:`sort_columns`, shared by every tree of an ensemble): the root
+reuses that order, and any other node sorts its rows' small integer
+rank keys, which orders them exactly as a stable argsort of their
+values would.  Trees are bitwise those of a per-node float argsort.
 
 Besides prediction the tree supports gain-based feature importances and
 Saabas-style per-sample feature contributions, which power the paper's
@@ -19,6 +24,7 @@ Saabas-style per-sample feature contributions, which power the paper's
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +71,54 @@ class TreeParams:
             raise ConfigurationError("reg_lambda and gamma must be non-negative")
 
 
+@dataclass(frozen=True)
+class SortedColumns:
+    """The columns of one design matrix, sorted once for all its trees.
+
+    Each column's values get dense ranks: equal values share a rank,
+    ranks rise with value, and every NaN takes the top rank ``len(X)``.
+    A cell's sort key packs its rank above the row's position,
+    ``rank << shift | position``, so a column's keys are distinct and
+    sorting them orders its rows by value, ties by position: the stable
+    argsort of the values, NaN last.  The sorted keys also carry the
+    ranks, which tell where the value changes.
+
+    ``keys`` holds ``rank << shift`` per cell (a node adds its own row
+    positions); ``root`` holds every column's keys over all rows,
+    sorted, so its low bits are the stable order of the whole column.
+    The keys take the smallest unsigned dtype that holds them.
+    """
+
+    keys: np.ndarray
+    root: np.ndarray
+    shift: int
+
+    @property
+    def position_mask(self) -> int:
+        return (1 << self.shift) - 1
+
+    @property
+    def nan_key(self) -> int:
+        """The smallest key a NaN cell can have."""
+        return len(self.keys) << self.shift
+
+
+def sort_columns(X: np.ndarray) -> SortedColumns:
+    """Sort every column of ``X`` once, with one float argsort."""
+    n = len(X)
+    order = np.argsort(X, axis=0, kind="stable")
+    values = np.take_along_axis(X, order, axis=0)
+    shift = max(n - 1, 0).bit_length()
+    dtype = np.min_scalar_type(((n + 1) << shift) - 1)
+    ranks = np.zeros(X.shape, dtype=dtype)
+    np.cumsum(values[1:] > values[:-1], axis=0, dtype=dtype, out=ranks[1:])
+    ranks[np.isnan(values)] = n
+    ranks <<= shift
+    keys = np.empty_like(ranks)
+    np.put_along_axis(keys, order, ranks, axis=0)
+    return SortedColumns(keys=keys, root=ranks | order.astype(dtype), shift=shift)
+
+
 class RegressionTree:
     """A single gradient/hessian-fitted regression tree."""
 
@@ -99,6 +153,7 @@ class RegressionTree:
         gradients: np.ndarray,
         hessians: np.ndarray,
         feature_indices: np.ndarray | None = None,
+        columns: SortedColumns | None = None,
     ) -> "RegressionTree":
         """Grow the tree on gradient/hessian targets.
 
@@ -112,6 +167,9 @@ class RegressionTree:
         feature_indices:
             Optional subset of columns eligible for splitting (column
             subsampling); thresholds still reference original indices.
+        columns:
+            ``sort_columns(X)``, when the caller fits many trees on the
+            same ``X``; computed here otherwise.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -121,13 +179,13 @@ class RegressionTree:
         if len(gradients) != len(X) or len(hessians) != len(X):
             raise ConfigurationError("X, gradients and hessians must align")
         self._n_features = X.shape[1]
-        if feature_indices is None:
-            feature_indices = np.arange(X.shape[1])
-        else:
+        if feature_indices is not None:
             feature_indices = np.asarray(feature_indices, dtype=np.int64)
+        if columns is None:
+            columns = sort_columns(X)
         self._nodes = []
         rows = np.arange(len(X))
-        self._grow(X, gradients, hessians, rows, feature_indices, depth=0)
+        self._grow(X, gradients, hessians, rows, feature_indices, columns, depth=0)
         return self
 
     def _grow(
@@ -136,7 +194,8 @@ class RegressionTree:
         g: np.ndarray,
         h: np.ndarray,
         rows: np.ndarray,
-        features: np.ndarray,
+        features: np.ndarray | None,
+        columns: SortedColumns,
         depth: int,
     ) -> int:
         lam = self.params.reg_lambda
@@ -147,7 +206,7 @@ class RegressionTree:
         self._nodes.append(_Node(value=value, n_samples=len(rows), cover=h_sum))
         if depth >= self.params.max_depth or len(rows) < 2 * self.params.min_samples_leaf:
             return index
-        best = self._best_split(X, g, h, rows, features, g_sum, h_sum)
+        best = self._best_split(X, g, h, rows, features, columns, depth == 0, g_sum, h_sum)
         if best is None:
             return index
         feature, threshold, gain, left_rows, right_rows = best
@@ -155,8 +214,8 @@ class RegressionTree:
         node.feature = int(feature)
         node.threshold = float(threshold)
         node.gain = float(gain)
-        node.left = self._grow(X, g, h, left_rows, features, depth + 1)
-        node.right = self._grow(X, g, h, right_rows, features, depth + 1)
+        node.left = self._grow(X, g, h, left_rows, features, columns, depth + 1)
+        node.right = self._grow(X, g, h, right_rows, features, columns, depth + 1)
         return index
 
     def _best_split(
@@ -165,50 +224,66 @@ class RegressionTree:
         g: np.ndarray,
         h: np.ndarray,
         rows: np.ndarray,
-        features: np.ndarray,
+        features: np.ndarray | None,
+        columns: SortedColumns,
+        root: bool,
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, float, float, np.ndarray, np.ndarray] | None:
-        """Vectorised best-split search across all candidate features."""
-        lam = self.params.reg_lambda
+        """Vectorised best-split search across all candidate features.
+
+        Each candidate column is sorted stably by value, NaN last: the
+        root (all rows, in index order) reuses ``columns.root``; any
+        other node sorts its rows' keys.  A split may fall between two
+        sorted positions whose ranks differ and are not NaN's, leaving
+        at least ``min_samples_leaf`` rows on each side.
+        """
+        params = self.params
+        lam = params.reg_lambda
         m = len(rows)
-        Xn = X[np.ix_(rows, features)]
-        order = np.argsort(Xn, axis=0, kind="stable")
-        Xs = np.take_along_axis(Xn, order, axis=0)
+        if root:  # all rows, in index order
+            keys = columns.root if features is None else columns.root[:, features]
+        else:
+            keys = columns.keys[rows] if features is None else columns.keys[np.ix_(rows, features)]
+            keys |= np.arange(m, dtype=keys.dtype)[:, None]
+            keys.sort(axis=0)
+        order = (keys & columns.position_mask).astype(np.intp)
         gs = g[rows][order]
         hs = h[rows][order]
-        GL = np.cumsum(gs, axis=0)[:-1]
-        HL = np.cumsum(hs, axis=0)[:-1]
+        # Position i splits the sorted rows into [0, i] and [i + 1, m).
+        lo, hi = params.min_samples_leaf - 1, m - params.min_samples_leaf
+        GL = gs[:hi].cumsum(axis=0)[lo:]
+        HL = hs[:hi].cumsum(axis=0)[lo:]
         GR = g_sum - GL
         HR = h_sum - HL
         parent_score = g_sum**2 / (h_sum + lam)
         # With reg_lambda == 0, split positions whose child hessian sum is
         # zero divide 0/0; those positions are always masked out below
         # (min_child_weight), so silence the vectorised warning.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        quiet = np.errstate(divide="ignore", invalid="ignore") if lam == 0 else nullcontext()
+        with quiet:
             gains = (
                 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score)
-                - self.params.gamma
+                - params.gamma
             )
-        left_counts = np.arange(1, m)[:, None]
+        upper = keys[lo + 1 : hi + 1]
         valid = (
-            (Xs[1:] > Xs[:-1])
-            & (HL >= self.params.min_child_weight)
-            & (HR >= self.params.min_child_weight)
-            & (left_counts >= self.params.min_samples_leaf)
-            & (m - left_counts >= self.params.min_samples_leaf)
+            (upper > (keys[lo:hi] | columns.position_mask))  # a larger rank
+            & (upper < columns.nan_key)
+            & (HL >= params.min_child_weight)
+            & (HR >= params.min_child_weight)
         )
         gains = np.where(valid, gains, -np.inf)
-        flat_best = int(np.argmax(gains))
-        split_pos, feat_pos = np.unravel_index(flat_best, gains.shape)
+        split_pos, feat_pos = divmod(int(np.argmax(gains)), gains.shape[1])
         best_gain = gains[split_pos, feat_pos]
         if not np.isfinite(best_gain) or best_gain <= 0:
             return None
-        feature = int(features[feat_pos])
-        threshold = 0.5 * (Xs[split_pos, feat_pos] + Xs[split_pos + 1, feat_pos])
+        split_pos += lo
+        feature = feat_pos if features is None else int(features[feat_pos])
         column_order = order[:, feat_pos]
         left_rows = rows[column_order[: split_pos + 1]]
         right_rows = rows[column_order[split_pos + 1 :]]
+        threshold = 0.5 * (X[left_rows[-1], feature] + X[right_rows[0], feature])
         return feature, threshold, float(best_gain), left_rows, right_rows
 
     # ------------------------------------------------------------------

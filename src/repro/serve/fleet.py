@@ -7,10 +7,11 @@ and a shard count, it
 1. derives one spec per shard (shared model, per-shard WAL under
    ``wal_dir``) and spawns every shard process at once via the
    :class:`~repro.serve.supervisor.ShardSupervisor`;
-2. while the shards load, loads the dataset *once* in the front-end
-   process to seed the :class:`~repro.serve.router.RoutingTable`
-   (avail → ship, rcc → avail), recovering routes grown by previous
-   runs from the shards' WALs, then takes the shards' handshakes;
+2. while the shards load, seeds the front end's
+   :class:`~repro.serve.router.RoutingTable` from the dataset's avails
+   (avail → ship) and, when ingest is on, its RCCs (rcc → avail),
+   recovering routes grown by previous runs from the shards' WALs, then
+   takes the shards' handshakes;
 3. wires a :class:`~repro.serve.router.ShardRouter` over per-shard
    :class:`~repro.serve.client.FrameClient` pools; and
 4. fronts it with the :class:`~repro.serve.frontend.FleetFrontend`.
@@ -126,18 +127,21 @@ class FleetService:
     def start(self) -> int:
         """Start the fleet and open the front door; returns its port.
 
-        In order: spawn every shard; build the routing table (dataset
-        load plus WAL route recovery) while the shards load; take the
-        shards' handshakes in shard-id order; then wire the router and
-        open the front door.  A failure at any step stops every shard.
+        In order: spawn every shard; build the routing table while the
+        shards load; take the shards' handshakes in shard-id order; then
+        wire the router and open the front door.  A failure at any step
+        stops every shard.  The routing table reads the avails; with a
+        ``wal_dir`` it also reads the RCCs and recovers the routes grown
+        by earlier runs from the shards' WALs, because only ingest
+        routes by RCC.
         """
-        from repro.data import load_dataset
+        from repro.data.loader import load_avails, load_dataset
 
         self.supervisor.spawn()
         try:
-            dataset = load_dataset(self.data)
-            self.routing = RoutingTable(dataset, self.ring)
             if self.wal_dir:
+                dataset = load_dataset(self.data)
+                self.routing = RoutingTable(dataset.avails, self.ring, dataset.rccs)
                 existing = [
                     path
                     for shard_id in self.ring.shard_ids
@@ -147,6 +151,8 @@ class FleetService:
                 ]
                 if existing:
                     self.routing.recover_from_wals(existing)
+            else:  # ingest is off: nothing routes by RCC
+                self.routing = RoutingTable(load_avails(self.data), self.ring)
             ports = self.supervisor.wait_ready()
             clients = {
                 shard_id: FrameClient(

@@ -40,10 +40,10 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.core.service import error_envelope
-from repro.data.schema import NavyMaintenanceDataset
 from repro.runtime.telemetry.alerts import AlertRule
 from repro.serve.client import FrameClient, ShardUnavailable
 from repro.serve.ring import ConsistentHashRing
+from repro.table import ColumnTable
 
 #: Event kinds routed by avail id directly.
 _AVAIL_ROUTED = {"rcc_created", "avail_extended"}
@@ -54,17 +54,22 @@ _RCC_ROUTED = {"rcc_settled", "amount_revised"}
 class RoutingTable:
     """Who owns what: ship → shard via the ring, avail → ship, rcc → avail.
 
-    The avail → ship map comes from the base dataset; the rcc → avail
-    map is seeded from the base dataset's RCC table and **grows** as
+    The avail → ship map comes from the avails table.  The rcc → avail
+    map serves only ingest routing: it is seeded from the RCC table when
+    one is given (a fleet with ingest off passes none) and **grows** as
     ``rcc_created`` events route through the front-end.  After a
     front-end restart the grown part is rebuilt by scanning the shards'
     WALs (:meth:`recover_from_wals`) — the WALs are the durable record
     of every acknowledged create.
     """
 
-    def __init__(self, dataset: NavyMaintenanceDataset, ring: ConsistentHashRing):
+    def __init__(
+        self,
+        avails: ColumnTable,
+        ring: ConsistentHashRing,
+        rccs: ColumnTable | None = None,
+    ):
         self.ring = ring
-        avails = dataset.avails
         self._ship_of_avail: dict[int, int] = {
             int(a): int(s)
             for a, s in zip(
@@ -72,14 +77,17 @@ class RoutingTable:
                 np.asarray(avails["ship_id"], dtype=np.int64),
             )
         }
-        rccs = dataset.rccs
-        self._avail_of_rcc: dict[int, int] = {
-            int(r): int(a)
-            for r, a in zip(
-                np.asarray(rccs["rcc_id"], dtype=np.int64),
-                np.asarray(rccs["avail_id"], dtype=np.int64),
-            )
-        }
+        self._avail_of_rcc: dict[int, int] = (
+            {}
+            if rccs is None
+            else {
+                int(r): int(a)
+                for r, a in zip(
+                    np.asarray(rccs["rcc_id"], dtype=np.int64),
+                    np.asarray(rccs["avail_id"], dtype=np.int64),
+                )
+            }
+        )
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -7,9 +7,9 @@ coercion: ints stay ints, anything with a decimal point or ``nan`` becomes
 float, everything else is a string.
 
 Both directions work a column at a time.  The reader transposes the
-parsed rows and converts each column with one pass of ``int``, else
-``float``, else keeps its strings; the writer formats each column once
-and hands the rows to ``csv`` in one call.
+parsed rows a chunk at a time and converts each column with one pass
+of ``int``, else ``float``, else keeps its strings; the writer formats
+each column once and hands the rows to ``csv`` in one call.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ def read_csv(path: str | Path) -> ColumnTable:
         except StopIteration:
             return ColumnTable()
         width = len(header)
+        columns: list[list[str]] = [[] for _ in header]
         rows: list[list[str]] = []
         for row in reader:
             if len(row) != width:
@@ -83,9 +84,26 @@ def read_csv(path: str | Path) -> ColumnTable:
                     f"{len(row)} fields, the header has {width}"
                 )
             rows.append(row)
-    columns = zip(*rows) if rows else [()] * width
+            if len(rows) == _CHUNK_ROWS:
+                _transpose_into(columns, rows)
+        _transpose_into(columns, rows)
     data = {name: _parse_column(cells) for name, cells in zip(header, columns)}
     return ColumnTable(data)
+
+
+#: Rows transposed at once.  Each parsed row is a list the cyclic
+#: garbage collector tracks; fewer than its default generation-0
+#: threshold (700) die before a collection can promote them, where a
+#: whole file's rows held at once make a paper-scale read run a full
+#: collection.
+_CHUNK_ROWS = 256
+
+
+def _transpose_into(columns: list[list[str]], rows: list[list[str]]) -> None:
+    """Append ``rows``' cells to ``columns``, then empty ``rows``."""
+    for column, cells in zip(columns, zip(*rows)):
+        column.extend(cells)
+    rows.clear()
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:

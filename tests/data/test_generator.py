@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.data import SyntheticNmdConfig, generate_dataset
+from repro.data import SyntheticNmdConfig, generate_dataset, generator
 from repro.data.dates import MISSING_DATE
 from repro.errors import DataGenerationError
 from repro.index.hierarchy import normalize_swlin
+from repro.table import write_csv
 
 
 class TestPaperCardinalities:
@@ -168,3 +169,22 @@ class TestConfigValidation:
         assert dataset.n_rccs == 11
         counts = dataset.rccs.group_by("avail_id").sizes()
         assert (counts["count"] == 1).all()
+
+
+def _swlin_codes_from_numpy_scalars(first_digit, mid, sub, item):
+    """The SWLIN formatting the generator used before ``tolist``, verbatim."""
+    return np.array(
+        [
+            f"{d}{m:02d}-{s:02d}-{i:03d}"
+            for d, m, s, i in zip(first_digit, mid, sub, item)
+        ],
+        dtype=object,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_swlin_codes_write_the_numpy_scalar_bytes(seed, tmp_path, monkeypatch):
+    write_csv(generate_dataset(SyntheticNmdConfig(seed=seed)).rccs, tmp_path / "new.csv")
+    monkeypatch.setattr(generator, "_swlin_codes", _swlin_codes_from_numpy_scalars)
+    write_csv(generate_dataset(SyntheticNmdConfig(seed=seed)).rccs, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -57,7 +57,7 @@ def fleet(serve_env, tmp_path):
             shard_id: FrameClient("127.0.0.1", runtime.server.port, timeout=5.0)
             for shard_id, runtime in runtimes.items()
         },
-        RoutingTable(dataset, ring),
+        RoutingTable(dataset.avails, ring, dataset.rccs),
         context=context,
         scatter_timeout=5.0,
         lag_alert_events=500,

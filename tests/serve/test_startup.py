@@ -3,8 +3,9 @@
 :class:`~repro.serve.supervisor.ShardSupervisor` spawns every shard
 before it waits for any handshake, then takes the handshakes in shard-id
 order; :class:`~repro.serve.fleet.FleetService` builds its routing table
-in between.  A failure anywhere leaves no shard process behind and never
-opens the front door.  A restarting shard reads its WAL once.
+in between, from the avails alone when ingest is off.  A failure
+anywhere leaves no shard process behind and never opens the front door.
+A restarting shard reads its WAL once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.data.loader as loader_module
 import repro.serve.supervisor as supervisor_module
 import repro.stream.wal as wal_module
+from repro.core.service import DomdService
+from repro.serve.client import FrameClient
 from repro.serve.fleet import FleetService, build_shard_specs
 from repro.serve.frontend import FleetFrontend
 from repro.serve.shard import build_shard_runtime
@@ -151,3 +155,62 @@ def test_shard_restart_reads_its_wal_once(serve_env, tmp_path, monkeypatch):
         assert runtime.wal.take_recovered() == []
     finally:
         runtime.close()
+
+
+def _front_end_reads(monkeypatch) -> list[str]:
+    """Names of the dataset CSVs this process reads from now on."""
+    reads: list[str] = []
+    read_csv = loader_module.read_csv
+
+    def recorded(path):
+        reads.append(Path(path).name)
+        return read_csv(path)
+
+    monkeypatch.setattr(loader_module, "read_csv", recorded)
+    return reads
+
+
+def test_static_fleet_reads_no_rccs_and_routes_as_before(serve_env, monkeypatch):
+    reads = _front_end_reads(monkeypatch)
+    fleet = FleetService(
+        serve_env.model_path, serve_env.data_dir, shards=2, start_timeout=300.0
+    )
+    port = fleet.start()
+    try:
+        assert reads == ["avails.csv"]
+        ids = _owned_avails(serve_env.dataset, 0)[:2] + _owned_avails(serve_env.dataset, 1)[:2]
+        requests = [
+            {"type": "domd_query", "avail_ids": ids, "t_star": 30.0},
+            {"type": "explain", "avail_id": ids[-1], "t_star": 55.0},
+            {"type": "fleet_status", "date": serve_env.fleet_date},
+        ]
+        with FrameClient("127.0.0.1", port, timeout=30.0) as client:
+            answers = [client.request(request) for request in requests]
+    finally:
+        fleet.stop(drain=False)
+    service = DomdService(serve_env.estimator)
+    for request, answer in zip(requests, answers):
+        assert answer["ok"] and "degraded" not in answer, answer
+        expected = service.handle(request)["result"]
+        if request["type"] == "fleet_status":  # merged across the shards
+            key = lambda row: row["avail_id"]  # noqa: E731
+            assert sorted(answer["result"], key=key) == sorted(expected, key=key)
+        else:
+            assert answer["result"] == expected
+
+
+def test_wal_fleet_front_end_still_reads_the_rccs(serve_env, tmp_path, monkeypatch):
+    reads = _front_end_reads(monkeypatch)
+    fleet = FleetService(
+        serve_env.model_path, serve_env.data_dir, shards=2, wal_dir=str(tmp_path)
+    )
+    monkeypatch.setattr(fleet.supervisor, "spawn", lambda: None)
+    monkeypatch.setattr(fleet.supervisor, "wait_ready", lambda: {0: 1, 1: 1})
+    fleet.start()  # no shard process; the router never calls one
+    try:
+        assert sorted(reads) == ["avails.csv", "rccs.csv", "ships.csv"]
+        rccs = serve_env.dataset.rccs
+        rcc_id, avail_id = int(rccs["rcc_id"][0]), int(rccs["avail_id"][0])
+        assert fleet.routing.shard_of_rcc(rcc_id) == fleet.routing.shard_of_avail(avail_id)
+    finally:
+        fleet.stop(drain=False)

@@ -9,6 +9,9 @@ the oracle mis-reported, raise one :class:`~repro.errors.SchemaError`.
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.data import SyntheticNmdConfig, generate_dataset, save_dataset
 from repro.errors import SchemaError
 from repro.table import ColumnTable, read_csv, write_csv
@@ -68,6 +72,26 @@ def test_paper_scale_dataset_matches_the_oracle(seed, tmp_path):
         csv_oracle.write_csv(getattr(dataset, name), oracle)
         assert written.read_bytes() == oracle.read_bytes(), name
         assert_same_table(read_csv(written), csv_oracle.read_csv(written))
+
+
+def test_paper_scale_load_makes_no_full_collection(tmp_path):
+    """Rows are transposed a chunk at a time, so they die young."""
+    save_dataset(generate_dataset(SyntheticNmdConfig(seed=1)), tmp_path)
+    probe = (
+        "import gc, sys\n"
+        "from repro.data import load_dataset\n"
+        "full = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start'"
+        " and info['generation'] == 2 and full.append(info))\n"
+        f"load_dataset({str(tmp_path)!r})\n"
+        "print(len(full))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "0", done.stdout
 
 
 # ----------------------------------------------------------------------
