@@ -820,7 +820,7 @@ def _cmd_serve_fleet(args, out: IO[str], context: ExecutionContext) -> int:
     import signal
     import threading
 
-    from repro.serve import FleetService
+    from repro.serve.fleet import FleetService
 
     listen = args.listen
     host, sep, port_text = listen.rpartition(":")

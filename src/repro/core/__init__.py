@@ -13,37 +13,58 @@ Public API::
     )
 """
 
-from repro.core.config import ARCHITECTURES, PipelineConfig, paper_final_config
-from repro.core.estimator import DomdEstimate, DomdEstimator, FeatureContribution
-from repro.core.fusion import FUSION_METHODS, fuse, fuse_progressive
-from repro.core.models import (
-    MODEL_FAMILIES,
-    BaseModelAdapter,
-    GbmAdapter,
-    LinearAdapter,
-    make_model,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.core.config": ("ARCHITECTURES", "PipelineConfig", "paper_final_config"),
+        "repro.core.estimator": (
+            "DomdEstimate",
+            "DomdEstimator",
+            "FeatureContribution",
+        ),
+        "repro.core.fusion": ("FUSION_METHODS", "fuse", "fuse_progressive"),
+        "repro.core.models": (
+            "MODEL_FAMILIES",
+            "BaseModelAdapter",
+            "GbmAdapter",
+            "LinearAdapter",
+            "make_model",
+        ),
+        "repro.core.conformal": ("ConformalDomdEstimator", "DomdInterval"),
+        "repro.core.interpret": (
+            "GlobalFeatureReport",
+            "format_sme_report",
+            "global_feature_report",
+            "window_importances",
+        ),
+        "repro.core.retrain": ("RetrainDecision", "RetrainManager"),
+        "repro.core.server": ("PoolFuture", "ServicePool"),
+        "repro.core.service": (
+            "ERROR_CODES",
+            "RETRYABLE_CODES",
+            "DomdService",
+            "error_envelope",
+        ),
+        "repro.core.pipeline": (
+            "DEFAULT_K_GRID",
+            "DEFAULT_TRIAL_COUNTS",
+            "STAGES",
+            "OptimizationReport",
+            "PipelineOptimizer",
+            "StageResult",
+        ),
+        "repro.core.timeline": ("LogicalTimeline",),
+        "repro.core.whatif": ("WhatIfResult", "inject_rccs", "surge_analysis"),
+        "repro.core.timeline_models": (
+            "STATIC_BASE_PRED",
+            "TimelineModelSet",
+            "WindowModel",
+        ),
+    },
 )
-from repro.core.conformal import ConformalDomdEstimator, DomdInterval
-from repro.core.interpret import (
-    GlobalFeatureReport,
-    format_sme_report,
-    global_feature_report,
-    window_importances,
-)
-from repro.core.retrain import RetrainDecision, RetrainManager
-from repro.core.server import PoolFuture, ServicePool
-from repro.core.service import ERROR_CODES, RETRYABLE_CODES, DomdService, error_envelope
-from repro.core.pipeline import (
-    DEFAULT_K_GRID,
-    DEFAULT_TRIAL_COUNTS,
-    STAGES,
-    OptimizationReport,
-    PipelineOptimizer,
-    StageResult,
-)
-from repro.core.timeline import LogicalTimeline
-from repro.core.whatif import WhatIfResult, inject_rccs, surge_analysis
-from repro.core.timeline_models import STATIC_BASE_PRED, TimelineModelSet, WindowModel
 
 __all__ = [
     "PipelineConfig",

@@ -86,6 +86,8 @@ class DomdEstimator:
         self._features_pending = False
         self._bind_lock = threading.Lock()
         self._provenance: dict[str, str] | None = None
+        #: The bound tensor's artifact-cache key, kept from its extraction.
+        self._feature_key: str | None = None
         #: ``(boot feature key, watermark)`` once :meth:`advance` made
         #: this a live estimator.
         self._live_key: tuple[str, int] | None = None
@@ -132,14 +134,21 @@ class DomdEstimator:
             if not self._features_pending:
                 return
             assert self._dataset is not None and self.context is not None
-            self._tensor_data = StatusFeatureExtractor(
-                self._dataset, self.timeline.t_stars, context=self.context
-            ).extract()
+            self._tensor_data = self._extract_features()
             X_static, self._static_names, self._avail_ids = static_features_for(
                 self._dataset, vocab=self._static_vocab
             )
             self._X_static_data = X_static
             self._features_pending = False
+
+    def _extract_features(self):
+        """The bound dataset's feature tensor; keeps its cache key."""
+        extractor = StatusFeatureExtractor(
+            self._dataset, self.timeline.t_stars, context=self.context
+        )
+        tensor = extractor.extract()
+        self._feature_key = "/".join(extractor.cache_key())
+        return tensor
 
     # ------------------------------------------------------------------
     def fit(
@@ -160,9 +169,7 @@ class DomdEstimator:
         """
         assert self.context is not None
         self._dataset = dataset
-        self._tensor = StatusFeatureExtractor(
-            dataset, self.timeline.t_stars, context=self.context
-        ).extract()
+        self._tensor = self._extract_features()
         self._static_vocab = static_vocab(dataset.avails)
         X_static, self._static_names, static_ids = static_features_for(
             dataset, vocab=self._static_vocab
@@ -224,14 +231,16 @@ class DomdEstimator:
         self._check_fitted()
         assert self._model_set is not None and self._dataset is not None
         # Lazy import: persistence imports this module.
-        from repro.persistence import _config_to_payload, model_set_to_payload
+        from repro.persistence import (
+            _config_to_payload,
+            model_hash as payload_hash,
+            model_set_to_payload,
+        )
         from repro.runtime.cache import fingerprint_of
 
         model_hash = getattr(self._model_set, "_content_hash", None)
         if model_hash is None:
-            model_hash = fingerprint_of(
-                json.dumps(model_set_to_payload(self._model_set), sort_keys=True)
-            )
+            model_hash = payload_hash(model_set_to_payload(self._model_set))
             self._model_set._content_hash = model_hash
         config_hash = fingerprint_of(
             json.dumps(_config_to_payload(self.config), sort_keys=True)
@@ -239,6 +248,8 @@ class DomdEstimator:
         if self._live_key is not None:
             boot_key, watermark = self._live_key
             feature_key = f"{boot_key}@{watermark}"
+        elif self._feature_key is not None:
+            feature_key = self._feature_key
         else:
             feature_key = "/".join(
                 tensor_cache_key(self._dataset, self.timeline.t_stars)

@@ -9,42 +9,54 @@ Public API::
     )
 """
 
-from repro.data.dates import (
-    MISSING_DATE,
-    day_to_iso,
-    iso_to_day,
-    logical_time,
-    physical_time,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.data.dates": (
+            "MISSING_DATE",
+            "day_to_iso",
+            "iso_to_day",
+            "logical_time",
+            "physical_time",
+        ),
+        "repro.data.continuation": ("generate_continuation",),
+        "repro.data.generator": (
+            "SHIP_CLASSES",
+            "SyntheticNmdConfig",
+            "generate_dataset",
+        ),
+        "repro.data.lifecycle": ("LifecycleConfig", "simulate_lifecycle"),
+        "repro.data.regimes": (
+            "REGIMES",
+            "RegimeSpec",
+            "generate_regime_dataset",
+            "get_regime",
+            "regime_events",
+            "write_regime_stream",
+        ),
+        "repro.data.loader": ("load_dataset", "save_dataset"),
+        "repro.data.obfuscation": (
+            "ObfuscationKey",
+            "deobfuscate_dataset",
+            "obfuscate_dataset",
+        ),
+        "repro.data.scaling": ("scale_rccs",),
+        "repro.data.schema": (
+            "AVAIL_COLUMNS",
+            "RCC_COLUMNS",
+            "SHIP_COLUMNS",
+            "STATIC_FEATURES",
+            "Avail",
+            "LiveSnapshot",
+            "NavyMaintenanceDataset",
+            "Rcc",
+        ),
+        "repro.data.splits": ("DataSplits", "split_dataset"),
+    },
 )
-from repro.data.continuation import generate_continuation
-from repro.data.generator import SHIP_CLASSES, SyntheticNmdConfig, generate_dataset
-from repro.data.lifecycle import LifecycleConfig, simulate_lifecycle
-from repro.data.regimes import (
-    REGIMES,
-    RegimeSpec,
-    generate_regime_dataset,
-    get_regime,
-    regime_events,
-    write_regime_stream,
-)
-from repro.data.loader import load_dataset, save_dataset
-from repro.data.obfuscation import (
-    ObfuscationKey,
-    deobfuscate_dataset,
-    obfuscate_dataset,
-)
-from repro.data.scaling import scale_rccs
-from repro.data.schema import (
-    AVAIL_COLUMNS,
-    RCC_COLUMNS,
-    SHIP_COLUMNS,
-    STATIC_FEATURES,
-    Avail,
-    LiveSnapshot,
-    NavyMaintenanceDataset,
-    Rcc,
-)
-from repro.data.splits import DataSplits, split_dataset
 
 __all__ = [
     "MISSING_DATE",

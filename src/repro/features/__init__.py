@@ -10,40 +10,48 @@ Public API::
     )
 """
 
-from repro.data.schema import STATIC_FEATURES
-from repro.features.registry import (
-    N_GENERATED_FEATURES,
-    N_GRID_FEATURES,
-    SPECIAL_FEATURES,
-    STAT_AXIS,
-    SWLIN_AXIS,
-    TYPE_AXIS,
-    FeatureGridSpec,
-    FeatureSpec,
-    STAT_LOOKUP,
-    build_registry,
-    feature_names,
-    grid_feature_name,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.data.schema": ("STATIC_FEATURES",),
+        "repro.features.registry": (
+            "N_GENERATED_FEATURES",
+            "N_GRID_FEATURES",
+            "SPECIAL_FEATURES",
+            "STAT_AXIS",
+            "SWLIN_AXIS",
+            "TYPE_AXIS",
+            "FeatureGridSpec",
+            "FeatureSpec",
+            "STAT_LOOKUP",
+            "build_registry",
+            "feature_names",
+            "grid_feature_name",
+        ),
+        "repro.features.selection": (
+            "FEATURE_SELECTION_METHODS",
+            "mutual_info_scores",
+            "pearson_scores",
+            "random_scores",
+            "rfe_ranking",
+            "rfe_select",
+            "score_ranking",
+            "select_features",
+            "spearman_scores",
+        ),
+        "repro.features.static": (
+            "encode_categorical",
+            "static_feature_matrix",
+            "static_features_for",
+            "static_vocab",
+        ),
+        "repro.features.tensor": ("FeatureTensor",),
+        "repro.features.transform": ("StatusFeatureExtractor", "default_timeline"),
+    },
 )
-from repro.features.selection import (
-    FEATURE_SELECTION_METHODS,
-    mutual_info_scores,
-    pearson_scores,
-    random_scores,
-    rfe_ranking,
-    rfe_select,
-    score_ranking,
-    select_features,
-    spearman_scores,
-)
-from repro.features.static import (
-    encode_categorical,
-    static_feature_matrix,
-    static_features_for,
-    static_vocab,
-)
-from repro.features.tensor import FeatureTensor
-from repro.features.transform import StatusFeatureExtractor, default_timeline
 
 __all__ = [
     "StatusFeatureExtractor",

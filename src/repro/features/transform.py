@@ -140,10 +140,16 @@ class StatusFeatureExtractor:
         self.grid = grid or FeatureGridSpec.default()
         self.registry = self.grid.build_registry()
         self._names = self.grid.feature_names()
+        self._key: tuple[str, str, str] | None = None
 
     def cache_key(self) -> tuple[str, str, str]:
-        """Content key of the tensor this extractor would produce."""
-        return tensor_cache_key(self.dataset, self.t_stars, self.grid)
+        """Content key of the tensor this extractor would produce.
+
+        Computed once per extractor: it fingerprints the whole dataset.
+        """
+        if self._key is None:
+            self._key = tensor_cache_key(self.dataset, self.t_stars, self.grid)
+        return self._key
 
     # ------------------------------------------------------------------
     def _digit_codes(self, swlin_codes) -> np.ndarray:

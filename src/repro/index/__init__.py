@@ -10,33 +10,41 @@ Public API::
     )
 """
 
-from repro.index.avl import AvlTree
-from repro.index.avl_index import DualAvlIndex
-from repro.index.base import LogicalTimeIndex
-from repro.index.hierarchy import (
-    RCC_TYPES,
-    RccTypeTree,
-    SwlinTree,
-    format_swlin,
-    normalize_swlin,
-    swlin_prefix,
-)
-from repro.index.columnar import (
-    ColumnarRccFrame,
-    ColumnarSweepState,
-    GroupCoding,
-    fused_point_aggregates,
-)
-from repro.index.interval_index import IntervalTreeIndex, index_designs
-from repro.index.interval_tree import IntervalTree
-from repro.index.naive import NaiveJoinIndex
-from repro.index.sorted_array import SortedArrayIndex
-from repro.index.status_query import (
-    AGGREGATE_COLUMNS,
-    EXECUTORS,
-    StatStructure,
-    StatusQuery,
-    StatusQueryEngine,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.index.avl": ("AvlTree",),
+        "repro.index.avl_index": ("DualAvlIndex",),
+        "repro.index.base": ("LogicalTimeIndex",),
+        "repro.index.hierarchy": (
+            "RCC_TYPES",
+            "RccTypeTree",
+            "SwlinTree",
+            "format_swlin",
+            "normalize_swlin",
+            "swlin_prefix",
+        ),
+        "repro.index.columnar": (
+            "ColumnarRccFrame",
+            "ColumnarSweepState",
+            "GroupCoding",
+            "fused_point_aggregates",
+        ),
+        "repro.index.interval_index": ("IntervalTreeIndex", "index_designs"),
+        "repro.index.interval_tree": ("IntervalTree",),
+        "repro.index.naive": ("NaiveJoinIndex",),
+        "repro.index.sorted_array": ("SortedArrayIndex",),
+        "repro.index.status_query": (
+            "AGGREGATE_COLUMNS",
+            "EXECUTORS",
+            "StatStructure",
+            "StatusQuery",
+            "StatusQueryEngine",
+        ),
+    },
 )
 
 __all__ = [

@@ -27,12 +27,31 @@ report rows-out per operator without any backend-specific code.
 from __future__ import annotations
 
 import abc
+import importlib
 import sys
 from typing import ClassVar
 
 import numpy as np
 
 from repro.errors import ConfigurationError, LengthMismatchError
+
+#: The index designs, by the name the engine and the CLI use (note
+#: ``sorted_array`` here vs the class's ``name = "sorted"``), in paper
+#: order, as ``(module, class)``: a design's module is imported when an
+#: index of it is first built (:func:`design_class`).
+DESIGN_CLASSES: dict[str, tuple[str, str]] = {
+    "naive": ("repro.index.naive", "NaiveJoinIndex"),
+    "avl": ("repro.index.avl_index", "DualAvlIndex"),
+    "interval": ("repro.index.interval_index", "IntervalTreeIndex"),
+    "sorted_array": ("repro.index.sorted_array", "SortedArrayIndex"),
+}
+
+
+def design_class(design: str) -> type["LogicalTimeIndex"]:
+    """The index class of a design named in :data:`DESIGN_CLASSES`."""
+    module, name = DESIGN_CLASSES[design]
+    return getattr(importlib.import_module(module), name)
+
 
 #: Retrieval operators every backend answers; the keys of ``op_stats``.
 OPERATOR_NAMES = ("settled", "created", "active", "pending")

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.errors import ConfigurationError, SchemaError
-from repro.index.avl_index import DualAvlIndex
-from repro.index.base import LogicalTimeIndex
+from repro.index.base import DESIGN_CLASSES, LogicalTimeIndex, design_class
 from repro.index.columnar import (
     SWEEP_CHUNK_SIZE,
     ColumnarRccFrame,
@@ -39,9 +38,6 @@ from repro.index.columnar import (
     safe_divide,
 )
 from repro.index.hierarchy import RccTypeTree, SwlinTree
-from repro.index.interval_index import IntervalTreeIndex
-from repro.index.naive import NaiveJoinIndex
-from repro.index.sorted_array import SortedArrayIndex
 from repro.runtime import (
     ExecutionContext,
     WorkloadSpec,
@@ -69,14 +65,6 @@ AGGREGATE_COLUMNS = (
     "dur_settled_avg",
     "pct_active",
 )
-
-_DESIGNS: dict[str, type[LogicalTimeIndex]] = {
-    "naive": NaiveJoinIndex,
-    "avl": DualAvlIndex,
-    "interval": IntervalTreeIndex,
-    "sorted_array": SortedArrayIndex,
-}
-
 
 @dataclass(frozen=True)
 class StatusQuery:
@@ -299,10 +287,10 @@ class StatusQueryEngine:
                 )
         else:
             self.plan_decision = None
-        if index is None and design not in _DESIGNS:
+        if index is None and design not in DESIGN_CLASSES:
             raise ConfigurationError(
                 f"unknown index design {design!r}; expected one of "
-                f"{sorted(_DESIGNS)} or 'auto'"
+                f"{sorted(DESIGN_CLASSES)} or 'auto'"
             )
         self._rccs = rccs
         self._design = design
@@ -325,7 +313,7 @@ class StatusQueryEngine:
         else:
             rows = np.arange(rccs.n_rows, dtype=np.int64)
             with self.context.span(f"index.build.{design}"):
-                self.index = _DESIGNS[design](self._starts, self._ends, rows)
+                self.index = design_class(design)(self._starts, self._ends, rows)
         self._executor = executor
         # Struct-of-arrays frame behind the columnar executor: owns the
         # contiguous numeric columns, shared event-time sort orders and
@@ -719,4 +707,4 @@ class StatusQueryEngine:
     @staticmethod
     def designs() -> tuple[str, ...]:
         """Names of the available index designs, in paper order."""
-        return tuple(_DESIGNS)
+        return tuple(DESIGN_CLASSES)

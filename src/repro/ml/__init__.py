@@ -11,30 +11,49 @@ Public API::
     )
 """
 
-from repro.ml.gbm import GbmParams, GradientBoostedTrees
-from repro.ml.linear import ElasticNet, LinearRegression
-from repro.ml.losses import (
-    LOSS_NAMES,
-    AbsoluteLoss,
-    HuberLoss,
-    Loss,
-    PinballLoss,
-    PseudoHuberLoss,
-    SquaredLoss,
-    make_loss,
-)
-from repro.ml.metrics import mae, mae_at_percentile, metric_suite, mse, r2, rmse
-from repro.ml.tree import RegressionTree, TreeParams
-from repro.ml.validation import PairedComparison, paired_comparison, repeated_split_scores
-from repro.ml.tuning import (
-    ChoiceParam,
-    IntParam,
-    Param,
-    TpeTuner,
-    Trial,
-    TuningResult,
-    UniformParam,
-    default_gbm_space,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.ml.gbm": ("GbmParams", "GradientBoostedTrees"),
+        "repro.ml.linear": ("ElasticNet", "LinearRegression"),
+        "repro.ml.losses": (
+            "LOSS_NAMES",
+            "AbsoluteLoss",
+            "HuberLoss",
+            "Loss",
+            "PinballLoss",
+            "PseudoHuberLoss",
+            "SquaredLoss",
+            "make_loss",
+        ),
+        "repro.ml.metrics": (
+            "mae",
+            "mae_at_percentile",
+            "metric_suite",
+            "mse",
+            "r2",
+            "rmse",
+        ),
+        "repro.ml.tree": ("RegressionTree", "TreeParams"),
+        "repro.ml.validation": (
+            "PairedComparison",
+            "paired_comparison",
+            "repeated_split_scores",
+        ),
+        "repro.ml.tuning": (
+            "ChoiceParam",
+            "IntParam",
+            "Param",
+            "TpeTuner",
+            "Trial",
+            "TuningResult",
+            "UniformParam",
+            "default_gbm_space",
+        ),
+    },
 )
 
 __all__ = [

@@ -19,7 +19,7 @@ lists/numbers so artefacts are diffable and auditable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +37,9 @@ from repro.ml.tree import RegressionTree, TreeParams, _Node
 
 FORMAT_VERSION = 1
 
+#: ``_Node``'s fields, in its constructor's order.
 _NODE_FIELDS = ("value", "n_samples", "cover", "feature", "threshold", "gain", "left", "right")
+_TREE_PARAM_FIELDS = tuple(spec.name for spec in fields(TreeParams))
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +50,7 @@ def tree_to_payload(tree: RegressionTree) -> dict[str, Any]:
     if not tree._nodes:
         raise NotFittedError("cannot serialise an unfitted tree")
     return {
-        "params": asdict(tree.params),
+        "params": {name: getattr(tree.params, name) for name in _TREE_PARAM_FIELDS},
         "n_features": tree._n_features,
         "nodes": [[getattr(node, f) for f in _NODE_FIELDS] for node in tree._nodes],
     }
@@ -58,9 +60,7 @@ def tree_from_payload(payload: dict[str, Any]) -> RegressionTree:
     """Rebuild a regression tree."""
     tree = RegressionTree(TreeParams(**payload["params"]))
     tree._n_features = int(payload["n_features"])
-    tree._nodes = [
-        _Node(**dict(zip(_NODE_FIELDS, values))) for values in payload["nodes"]
-    ]
+    tree._nodes = [_Node(*values) for values in payload["nodes"]]
     return tree
 
 
@@ -189,6 +189,13 @@ def model_set_from_payload(payload: dict[str, Any]) -> TimelineModelSet:
     return model_set
 
 
+def model_hash(payload: dict[str, Any]) -> str:
+    """Fingerprint of a model-set payload (its sorted-key JSON)."""
+    from repro.runtime.cache import fingerprint_of
+
+    return fingerprint_of(json.dumps(payload, sort_keys=True))
+
+
 def _config_to_payload(config: PipelineConfig) -> dict[str, Any]:
     payload = asdict(config)
     payload["gbm"] = asdict(config.gbm)
@@ -246,12 +253,9 @@ def load_estimator(
     config = _config_from_payload(payload["config"])
     estimator = DomdEstimator(config, context=context)
     from repro.features.static import static_features_for
-    from repro.features.transform import StatusFeatureExtractor
 
     estimator._dataset = dataset
-    estimator._tensor = StatusFeatureExtractor(
-        dataset, estimator.timeline.t_stars, context=estimator.context
-    ).extract()
+    estimator._tensor = estimator._extract_features()
     estimator._static_vocab = payload.get("static_vocab")
     X_static, estimator._static_names, static_ids = static_features_for(
         dataset, vocab=estimator._static_vocab
@@ -260,6 +264,8 @@ def load_estimator(
     estimator._avail_ids = static_ids
     estimator._model_set = model_set_from_payload(payload["model_set"])
     estimator._model_set.context = estimator.context
+    # The artefact's payload is what model_set_to_payload would rebuild.
+    estimator._model_set._content_hash = model_hash(payload["model_set"])
     return estimator
 
 
@@ -328,28 +334,9 @@ def load_stream_snapshot(
         seed=payload.get("seed"),
         scaling_factor=int(payload.get("scaling_factor", 1)),
     )
-    rccs = table_from_payload(payload["rccs"])
-    # Rows were saved in slot order; replaying them as create(+settle)
+    # Rows were saved in slot order; loading them as create(+settle)
     # pairs reconstructs identical slots, logical times and status.
-    from repro.data.dates import MISSING_DATE as _MISSING
-    from repro.stream.events import RccCreated, RccSettled
-
-    for row in range(rccs.n_rows):
-        store.apply(
-            RccCreated(
-                rcc_id=int(rccs["rcc_id"][row]),
-                avail_id=int(rccs["avail_id"][row]),
-                rcc_type=str(rccs["rcc_type"][row]),
-                swlin=str(rccs["swlin"][row]),
-                create_date=int(rccs["create_date"][row]),
-                amount=float(rccs["amount"][row]),
-            )
-        )
-        settle_date = int(rccs["settle_date"][row])
-        if str(rccs["status"][row]) == "settled" and settle_date != _MISSING:
-            store.apply(
-                RccSettled(rcc_id=int(rccs["rcc_id"][row]), settle_date=settle_date)
-            )
+    store.load_rows(table_from_payload(payload["rccs"]))
     store.restore_orphans(payload.get("orphans", {}))
     store.counts = dict(payload.get("store_counts", store.counts))
     watermark = payload.get("watermark", {})

@@ -33,77 +33,89 @@ state (:func:`ambient_scope`) and deterministic per-worker RNG streams
 :class:`~repro.core.server.ServicePool` serving pool.
 """
 
-from repro.runtime.cache import (
-    ArtifactCache,
-    fingerprint_array,
-    fingerprint_bytes,
-    fingerprint_of,
-)
-from repro.runtime.concurrency import (
-    Deadline,
-    ambient_scope,
-    check_deadline,
-    current_deadline,
-    current_rng,
-    worker_rng_streams,
-)
-from repro.runtime.context import ExecutionContext, ensure_context
-from repro.runtime.explain import (
-    ExplainResult,
-    OperatorRecorder,
-    OperatorStats,
-    QueryPlan,
-    doctor_report,
-    explain_point,
-    explain_sweep,
-    plan_from_report,
-)
-from repro.runtime.profile import chrome_trace, collapsed_stacks, spans_from_report
-from repro.runtime.metrics import MetricsSink, RunReport, SpanRecord
-from repro.runtime.planner import (
-    DEFAULT_COSTS,
-    DEFAULT_REGISTRY,
-    WORKLOAD_MODES,
-    BackendCosts,
-    IndexRegistry,
-    PlanDecision,
-    QueryPlanner,
-    WorkloadSpec,
-)
-from repro.runtime.concurrency import PeriodicWorker
-from repro.runtime.telemetry import (
-    DEFAULT_LATENCY_BUCKETS,
-    AlertManager,
-    AlertRule,
-    BurnRateRule,
-    DriftAlert,
-    DriftMonitor,
-    DriftThresholds,
-    Histogram,
-    JsonlEventLog,
-    MemoryEventLog,
-    SloEngine,
-    SloObjective,
-    StackProfiler,
-    TelemetryHub,
-    TelemetrySampler,
-    TimeSeriesStore,
-    TraceContext,
-    causal_chain,
-    chrome_trace_from_events,
-    collapsed_from_events,
-    critical_path,
-    critical_path_summaries,
-    default_objectives,
-    load_events,
-    load_events_lenient,
-    prometheus_text,
-    render_causal_chain,
-    render_report,
-    render_top,
-    telemetry_snapshot,
-    timeseries_from_events,
-    top_snapshot,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.runtime.cache": (
+            "ArtifactCache",
+            "fingerprint_array",
+            "fingerprint_bytes",
+            "fingerprint_of",
+        ),
+        "repro.runtime.concurrency": (
+            "Deadline",
+            "ambient_scope",
+            "check_deadline",
+            "current_deadline",
+            "current_rng",
+            "worker_rng_streams",
+            "PeriodicWorker",
+        ),
+        "repro.runtime.context": ("ExecutionContext", "ensure_context"),
+        "repro.runtime.explain": (
+            "ExplainResult",
+            "OperatorRecorder",
+            "OperatorStats",
+            "QueryPlan",
+            "doctor_report",
+            "explain_point",
+            "explain_sweep",
+            "plan_from_report",
+        ),
+        "repro.runtime.profile": (
+            "chrome_trace",
+            "collapsed_stacks",
+            "spans_from_report",
+        ),
+        "repro.runtime.metrics": ("MetricsSink", "RunReport", "SpanRecord"),
+        "repro.runtime.planner": (
+            "DEFAULT_COSTS",
+            "DEFAULT_REGISTRY",
+            "WORKLOAD_MODES",
+            "BackendCosts",
+            "IndexRegistry",
+            "PlanDecision",
+            "QueryPlanner",
+            "WorkloadSpec",
+        ),
+        "repro.runtime.telemetry": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "AlertManager",
+            "AlertRule",
+            "BurnRateRule",
+            "DriftAlert",
+            "DriftMonitor",
+            "DriftThresholds",
+            "Histogram",
+            "JsonlEventLog",
+            "MemoryEventLog",
+            "SloEngine",
+            "SloObjective",
+            "StackProfiler",
+            "TelemetryHub",
+            "TelemetrySampler",
+            "TimeSeriesStore",
+            "TraceContext",
+            "causal_chain",
+            "chrome_trace_from_events",
+            "collapsed_from_events",
+            "critical_path",
+            "critical_path_summaries",
+            "default_objectives",
+            "load_events",
+            "load_events_lenient",
+            "prometheus_text",
+            "render_causal_chain",
+            "render_report",
+            "render_top",
+            "telemetry_snapshot",
+            "timeseries_from_events",
+            "top_snapshot",
+        ),
+    },
 )
 
 __all__ = [

@@ -47,7 +47,7 @@ def fingerprint_array(array: np.ndarray) -> str:
     """Content fingerprint of one numpy array (dtype + shape + bytes)."""
     array = np.asarray(array)
     if array.dtype == object:
-        payload = "\x1f".join(str(v) for v in array.ravel()).encode()
+        payload = "\x1f".join([str(v) for v in array.ravel().tolist()]).encode()
     else:
         payload = np.ascontiguousarray(array).tobytes()
     return fingerprint_bytes(

@@ -24,59 +24,68 @@ See ``docs/observability.md`` for the event schema, bucket layout,
 drift thresholds, SLO semantics and exposition formats.
 """
 
-from repro.runtime.telemetry.alerts import (
-    ALERT_STATE_CODES,
-    ALERT_STATES,
-    AlertManager,
-    AlertRule,
-    alert_states_from_events,
-    alert_timeline,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.runtime.telemetry.alerts": (
+            "ALERT_STATE_CODES",
+            "ALERT_STATES",
+            "AlertManager",
+            "AlertRule",
+            "alert_states_from_events",
+            "alert_timeline",
+        ),
+        "repro.runtime.telemetry.causal": (
+            "causal_chain",
+            "critical_path",
+            "critical_path_summaries",
+            "render_causal_chain",
+        ),
+        "repro.runtime.telemetry.drift": (
+            "DriftAlert",
+            "DriftMonitor",
+            "DriftThresholds",
+        ),
+        "repro.runtime.telemetry.events": (
+            "JsonlEventLog",
+            "MemoryEventLog",
+            "counters_from_events",
+            "load_events",
+            "load_events_lenient",
+        ),
+        "repro.runtime.telemetry.exporters": (
+            "chrome_trace_from_events",
+            "collapsed_from_events",
+            "histograms_from_events",
+            "prometheus_text",
+            "reconstruct_traces",
+            "render_report",
+            "render_trace_tree",
+            "telemetry_snapshot",
+        ),
+        "repro.runtime.telemetry.histogram": ("DEFAULT_LATENCY_BUCKETS", "Histogram"),
+        "repro.runtime.telemetry.hub": ("TelemetryHub",),
+        "repro.runtime.telemetry.sampler": ("TelemetrySampler",),
+        "repro.runtime.telemetry.slo": (
+            "DEFAULT_BURN_RULES",
+            "BurnRateRule",
+            "SloEngine",
+            "SloObjective",
+            "default_objectives",
+        ),
+        "repro.runtime.telemetry.stackprof": ("StackProfiler",),
+        "repro.runtime.telemetry.timeseries": (
+            "TimeSeriesStore",
+            "sample_gauge_values",
+            "timeseries_from_events",
+        ),
+        "repro.runtime.telemetry.top": ("render_top", "sparkline", "top_snapshot"),
+        "repro.runtime.telemetry.tracecontext": ("TraceContext",),
+    },
 )
-from repro.runtime.telemetry.causal import (
-    causal_chain,
-    critical_path,
-    critical_path_summaries,
-    render_causal_chain,
-)
-from repro.runtime.telemetry.drift import DriftAlert, DriftMonitor, DriftThresholds
-from repro.runtime.telemetry.events import (
-    JsonlEventLog,
-    MemoryEventLog,
-    counters_from_events,
-    load_events,
-    load_events_lenient,
-)
-from repro.runtime.telemetry.exporters import (
-    chrome_trace_from_events,
-    collapsed_from_events,
-    histograms_from_events,
-    prometheus_text,
-    reconstruct_traces,
-    render_report,
-    render_trace_tree,
-    telemetry_snapshot,
-)
-from repro.runtime.telemetry.histogram import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-)
-from repro.runtime.telemetry.hub import TelemetryHub
-from repro.runtime.telemetry.sampler import TelemetrySampler
-from repro.runtime.telemetry.slo import (
-    DEFAULT_BURN_RULES,
-    BurnRateRule,
-    SloEngine,
-    SloObjective,
-    default_objectives,
-)
-from repro.runtime.telemetry.stackprof import StackProfiler
-from repro.runtime.telemetry.timeseries import (
-    TimeSeriesStore,
-    sample_gauge_values,
-    timeseries_from_events,
-)
-from repro.runtime.telemetry.top import render_top, sparkline, top_snapshot
-from repro.runtime.telemetry.tracecontext import TraceContext
 
 __all__ = [
     "TelemetryHub",

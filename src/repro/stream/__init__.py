@@ -15,34 +15,42 @@ Layers (each its own module, composable separately):
 See ``docs/streaming.md`` for the end-to-end walkthrough.
 """
 
-from repro.stream.events import (
-    AmountRevised,
-    AvailExtended,
-    Event,
-    EVENT_KINDS,
-    RccCreated,
-    RccSettled,
-    STREAM_FORMAT_VERSION,
-    UNSETTLED_T,
-    dataset_from_stream,
-    dataset_to_events,
-    event_from_dict,
-    event_to_dict,
-    perturb_event_order,
-    read_event_stream,
-    write_event_stream,
-)
-from repro.stream.follow import WalFollower
-from repro.stream.ingest import StreamIngestor
-from repro.stream.mutable import MutableIndexAdapter, default_rebuild_threshold
-from repro.stream.store import ApplyResult, StreamingRccStore
-from repro.stream.wal import (
-    WalAppendResult,
-    WalReadResult,
-    WalRecord,
-    WalWriter,
-    event_crc,
-    read_wal,
+from repro._lazy import attach
+
+# Each name's module is imported when the name is first read.
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "repro.stream.events": (
+            "AmountRevised",
+            "AvailExtended",
+            "Event",
+            "EVENT_KINDS",
+            "RccCreated",
+            "RccSettled",
+            "STREAM_FORMAT_VERSION",
+            "UNSETTLED_T",
+            "dataset_from_stream",
+            "dataset_to_events",
+            "event_from_dict",
+            "event_to_dict",
+            "perturb_event_order",
+            "read_event_stream",
+            "write_event_stream",
+        ),
+        "repro.stream.follow": ("WalFollower",),
+        "repro.stream.ingest": ("StreamIngestor",),
+        "repro.stream.mutable": ("MutableIndexAdapter", "default_rebuild_threshold"),
+        "repro.stream.store": ("ApplyResult", "StreamingRccStore"),
+        "repro.stream.wal": (
+            "WalAppendResult",
+            "WalReadResult",
+            "WalRecord",
+            "WalWriter",
+            "event_crc",
+            "read_wal",
+        ),
+    },
 )
 
 __all__ = [

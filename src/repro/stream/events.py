@@ -202,6 +202,14 @@ def table_from_payload(payload: dict[str, Any]) -> ColumnTable:
 # ----------------------------------------------------------------------
 # dataset <-> stream
 # ----------------------------------------------------------------------
+def settled_rows(rccs: ColumnTable) -> np.ndarray:
+    """Mask of the RCC rows that also carry an ``rcc_settled``: settled
+    status and a settle date."""
+    status = np.array(list(map(str, np.asarray(rccs["status"]).tolist())), dtype=str)
+    settle_date = np.asarray(rccs["settle_date"]).astype(np.int64)
+    return (status == "settled") & (settle_date != MISSING_DATE)
+
+
 def dataset_to_events(
     dataset: "NavyMaintenanceDataset",
 ) -> tuple[dict[str, Any], list[Event]]:
@@ -224,37 +232,33 @@ def dataset_to_events(
         "avails": table_to_payload(dataset.avails),
     }
     rccs = dataset.rccs
-    keyed: list[tuple[int, int, int, Event]] = []
-    for row in range(rccs.n_rows):
-        rcc_id = int(rccs["rcc_id"][row])
-        create_date = int(rccs["create_date"][row])
-        keyed.append(
-            (
-                create_date,
-                0,
-                rcc_id,
-                RccCreated(
-                    rcc_id=rcc_id,
-                    avail_id=int(rccs["avail_id"][row]),
-                    rcc_type=str(rccs["rcc_type"][row]),
-                    swlin=str(rccs["swlin"][row]),
-                    create_date=create_date,
-                    amount=float(rccs["amount"][row]),
-                ),
-            )
+    rcc_id = np.asarray(rccs["rcc_id"]).astype(np.int64)
+    create_date = np.asarray(rccs["create_date"]).astype(np.int64)
+    settle_date = np.asarray(rccs["settle_date"]).astype(np.int64)
+    settled = np.flatnonzero(settled_rows(rccs))
+    ids = rcc_id.tolist()
+    events: list[Event] = list(
+        map(
+            RccCreated,
+            ids,
+            np.asarray(rccs["avail_id"]).astype(np.int64).tolist(),
+            map(str, np.asarray(rccs["rcc_type"]).tolist()),
+            map(str, np.asarray(rccs["swlin"]).tolist()),
+            create_date.tolist(),
+            np.asarray(rccs["amount"], dtype=np.float64).tolist(),
         )
-        settle_date = int(rccs["settle_date"][row])
-        if str(rccs["status"][row]) == "settled" and settle_date != MISSING_DATE:
-            keyed.append(
-                (
-                    settle_date,
-                    1,
-                    rcc_id,
-                    RccSettled(rcc_id=rcc_id, settle_date=settle_date),
-                )
-            )
-    keyed.sort(key=lambda item: item[:3])
-    return header, [event for *_, event in keyed]
+    )
+    events += map(RccSettled, rcc_id[settled].tolist(), settle_date[settled].tolist())
+    # Creates, then settles, each in row order, so the stable sort
+    # leaves equal keys in row order.
+    order = np.lexsort(
+        (
+            np.concatenate([rcc_id, rcc_id[settled]]),
+            np.repeat([0, 1], [len(ids), len(settled)]),
+            np.concatenate([create_date, settle_date[settled]]),
+        )
+    )
+    return header, list(map(events.__getitem__, order.tolist()))
 
 
 def perturb_event_order(

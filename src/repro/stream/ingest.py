@@ -28,15 +28,18 @@ still reports the avails its applied prefix changed.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamStateError
+from repro.index.base import DESIGN_CLASSES
 from repro.runtime.context import ExecutionContext
-from repro.stream.mutable import _DESIGNS, MutableIndexAdapter
 from repro.stream.store import StreamingRccStore
 from repro.stream.wal import WalRecord, read_wal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.stream.mutable import MutableIndexAdapter
 
 #: Designs maintained when the caller does not choose: none, since no
 #: served answer reads an index.
@@ -76,21 +79,27 @@ class StreamIngestor:
         watermark: int = 0,
         clock: Callable[[], float] = time.time,
     ):
-        unknown = sorted(set(designs) - set(_DESIGNS))
+        unknown = sorted(set(designs) - set(DESIGN_CLASSES))
         if unknown:
             raise ConfigurationError(
-                f"unknown index design(s) {unknown}; expected from {sorted(_DESIGNS)}"
+                f"unknown index design(s) {unknown}; expected from "
+                f"{sorted(DESIGN_CLASSES)}"
             )
         self.store = store
         self.context = context if context is not None else ExecutionContext()
         self._clock = clock
-        starts, ends, slots = store.logical_triples()
-        self.adapters: dict[str, MutableIndexAdapter] = {
-            design: MutableIndexAdapter(
-                design, starts, ends, slots, rebuild_threshold=rebuild_threshold
-            )
-            for design in dict.fromkeys(designs)
-        }
+        self.adapters: dict[str, MutableIndexAdapter] = {}
+        if designs:
+            # The index designs load only for a caller that names one.
+            from repro.stream.mutable import MutableIndexAdapter
+
+            starts, ends, slots = store.logical_triples()
+            self.adapters = {
+                design: MutableIndexAdapter(
+                    design, starts, ends, slots, rebuild_threshold=rebuild_threshold
+                )
+                for design in dict.fromkeys(designs)
+            }
         self.watermark = int(watermark)
         self.applied_batches = 0
         self.applied_events = 0

@@ -34,19 +34,11 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamStateError
-from repro.index.avl_index import DualAvlIndex
-from repro.index.base import LogicalTimeIndex
-from repro.index.interval_index import IntervalTreeIndex
-from repro.index.naive import NaiveJoinIndex
-from repro.index.sorted_array import SortedArrayIndex
+from repro.index.base import DESIGN_CLASSES, LogicalTimeIndex, design_class
 
-#: Registry keyed the way the engine/CLI name designs (note
-#: ``sorted_array`` here vs the class's ``name = "sorted"``).
+#: Every design's class, keyed the way the engine/CLI name designs.
 _DESIGNS: dict[str, type[LogicalTimeIndex]] = {
-    "naive": NaiveJoinIndex,
-    "avl": DualAvlIndex,
-    "interval": IntervalTreeIndex,
-    "sorted_array": SortedArrayIndex,
+    design: design_class(design) for design in DESIGN_CLASSES
 }
 
 _MIN_CAPACITY = 64

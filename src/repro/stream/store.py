@@ -27,6 +27,7 @@ anything, so a server can refuse a batch before it reaches the WAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
@@ -44,6 +45,7 @@ from repro.stream.events import (
     UNSETTLED_T,
     event_from_dict,
     event_to_dict,
+    settled_rows,
     table_from_payload,
 )
 from repro.table.table import ColumnTable
@@ -120,28 +122,98 @@ class StreamingRccStore:
             seed=dataset.seed,
             scaling_factor=dataset.scaling_factor,
         )
-        rccs = dataset.rccs
-        for row in range(rccs.n_rows):
-            store.apply(
-                RccCreated(
-                    rcc_id=int(rccs["rcc_id"][row]),
-                    avail_id=int(rccs["avail_id"][row]),
-                    rcc_type=str(rccs["rcc_type"][row]),
-                    swlin=str(rccs["swlin"][row]),
-                    create_date=int(rccs["create_date"][row]),
-                    amount=float(rccs["amount"][row]),
-                )
-            )
-            settle_date = int(rccs["settle_date"][row])
-            if str(rccs["status"][row]) == "settled" and settle_date != MISSING_DATE:
-                store.apply(
-                    RccSettled(
-                        rcc_id=int(rccs["rcc_id"][row]), settle_date=settle_date
-                    )
-                )
+        store.load_rows(dataset.rccs)
         # Bootstrap rows are baseline state, not stream traffic.
         store.counts = {"applied": 0, "duplicates": 0, "deferred": 0}
         return store
+
+    def load_rows(self, rccs: ColumnTable) -> None:
+        """Fill this empty store with ``rccs``'s rows, a column at a time.
+
+        The state, ``counts`` and first error are those of applying, row
+        by row, each row's ``rcc_created`` and, for a settled row with a
+        settle date, its ``rcc_settled``: a repeated id keeps its first
+        row's slot and takes the settles of its later rows, and the
+        error raised is that of the earliest failing row.
+        """
+        n = rccs.n_rows
+        if not n:
+            return
+        ids = np.asarray(rccs["rcc_id"]).astype(np.int64)
+        avail_ids = np.asarray(rccs["avail_id"]).astype(np.int64)
+        create = np.asarray(rccs["create_date"]).astype(np.int64)
+        settle = np.asarray(rccs["settle_date"]).astype(np.int64)
+
+        # Slots open at each id's first row; later rows settle that slot.
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        first_row = first[inverse.ravel()]
+        opens = np.flatnonzero(first_row == np.arange(n))
+        slot_of_row = np.searchsorted(opens, first_row)
+        slot_avails = avail_ids[opens].tolist()
+        frame_rows = np.fromiter(
+            map(self._avail_row.get, slot_avails, repeat(-1)), np.int64, len(opens)
+        )
+        settle_rows = np.flatnonzero(settled_rows(rccs))
+        unknown = opens[frame_rows < 0]
+        early = settle_rows[settle[settle_rows] < create[first_row[settle_rows]]]
+        if len(unknown) or len(early):
+            row = min(unknown[:1].tolist() + early[:1].tolist())
+            if len(unknown) and row == unknown[0]:
+                raise StreamStateError(
+                    f"event references unknown avail {int(avail_ids[row])}"
+                )
+            _check_settle(
+                RccSettled(rcc_id=int(ids[row]), settle_date=int(settle[row])),
+                int(create[first_row[row]]),
+            )
+
+        # A slot's state is its last settle.
+        k = len(opens)
+        last = np.full(k, -1, dtype=np.int64)
+        np.maximum.at(last, slot_of_row[settle_rows], settle_rows)
+        has_settle = last >= 0
+        settle_days = settle[last[has_settle]]
+        frames = np.concatenate([frame_rows, frame_rows[has_settle]])
+        days = np.concatenate([create[opens], settle_days]).astype(np.float64)
+        times = logical_time(
+            days,
+            np.asarray(self._avails["act_start"], dtype=np.float64)[frames],
+            np.asarray(self._avails["planned_duration"], dtype=np.float64)[frames],
+        )
+        t_end = np.full(k, UNSETTLED_T)
+        t_end[has_settle] = times[k:]
+        settle_of_slot = np.full(k, MISSING_DATE, dtype=np.int64)
+        settle_of_slot[has_settle] = settle_days
+
+        self._rcc_id = ids[opens].tolist()
+        self._avail_id = slot_avails
+        self._rcc_type = list(map(str, np.asarray(rccs["rcc_type"])[opens].tolist()))
+        self._swlin = list(map(str, np.asarray(rccs["swlin"])[opens].tolist()))
+        self._create_date = create[opens].tolist()
+        self._settle_date = settle_of_slot.tolist()
+        self._status = list(map(("open", "settled").__getitem__, has_settle.tolist()))
+        self._amount = np.asarray(rccs["amount"], dtype=np.float64)[opens].tolist()
+        self._t_start = times[:k].tolist()
+        self._t_end = t_end.tolist()
+        self._slot_of = dict(zip(self._rcc_id, range(k)))
+        keys, firsts, groups = np.unique(
+            avail_ids[opens], return_index=True, return_inverse=True
+        )
+        order = np.argsort(groups.ravel(), kind="stable")
+        bounds = np.cumsum(np.bincount(groups.ravel(), minlength=len(keys)))
+        members = np.split(order, bounds[:-1])
+        self._slots_by_avail = {
+            keys[group].item(): members[group].tolist()
+            for group in np.argsort(firsts, kind="stable").tolist()
+        }
+
+        # A settle repeating the date of its slot's settle before it is a
+        # duplicate.
+        by_slot = settle_rows[np.argsort(slot_of_row[settle_rows], kind="stable")]
+        slots, dates = slot_of_row[by_slot], settle[by_slot]
+        repeats = int(np.sum((slots[1:] == slots[:-1]) & (dates[1:] == dates[:-1])))
+        self.counts["applied"] += k + len(settle_rows) - repeats
+        self.counts["duplicates"] += (n - k) + repeats
 
     @classmethod
     def from_header(cls, header: dict[str, Any]) -> "StreamingRccStore":

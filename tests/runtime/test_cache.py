@@ -45,6 +45,54 @@ class TestFingerprints:
         assert key != fingerprint_of("grid", 3, np.arange(5))
 
 
+def per_cell_fingerprint(array: np.ndarray) -> str:
+    """``fingerprint_array`` of an object array, one ``str`` per cell (the
+    join it replaced, verbatim)."""
+    payload = "\x1f".join(str(v) for v in array.ravel()).encode()
+    return fingerprint_bytes(
+        str(array.dtype).encode(), str(array.shape).encode(), payload
+    )
+
+
+class TestObjectColumnJoin:
+    """Object columns are joined from one ``tolist()``: same bytes as
+    ``str`` of every cell."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["G", "N", "NG", "111-11-001"],
+            [None, None],
+            [float("nan"), 1.5, -0.0, float("inf")],
+            [1, -2, 10**30],
+            ["a", None, float("nan"), 3, 2.5, True, b"x", ("t", 1)],
+            ["with\x1fseparator", "\x1f", ""],
+            ["naïve", "日本語", "emoji 🚢", "Ω"],
+            [],
+        ],
+        ids=["str", "none", "nan", "int", "mixed", "separator", "non-ascii", "empty"],
+    )
+    def test_matches_the_per_cell_join(self, values):
+        array = np.empty(len(values), dtype=object)
+        array[:] = values
+        assert fingerprint_array(array) == per_cell_fingerprint(array)
+
+    def test_two_dimensional_and_numpy_scalar_cells(self):
+        array = np.empty((2, 3), dtype=object)
+        array[:] = [
+            [np.float64(0.1), np.int64(7), np.str_("x")],
+            [np.float32(0.1), None, "y"],
+        ]
+        assert fingerprint_array(array) == per_cell_fingerprint(array)
+        assert fingerprint_array(array.T) == per_cell_fingerprint(array.T)
+
+    def test_paper_scale_rcc_columns(self, full_dataset):
+        for name in ("rcc_type", "swlin", "status"):
+            column = np.asarray(full_dataset.rccs[name])
+            assert column.dtype == object
+            assert fingerprint_array(column) == per_cell_fingerprint(column)
+
+
 class TestArtifactCache:
     def test_get_or_build_builds_once(self):
         cache = ArtifactCache()
